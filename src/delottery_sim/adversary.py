@@ -26,12 +26,21 @@ dry.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 
 from . import lottery, randao
-from .chain import Ledger, PowProof, create_account, mine_block, preview_block
+from .chain import (
+    Ledger,
+    PowProof,
+    create_account,
+    first_nonce,
+    mine_block,
+    pow_digest,
+    preview_block,
+)
 from .errors import AdmissionRejected, DuplicateAddress, ProtocolError
-from .hashing import H, digest_int, le8
+from .hashing import H, le8
 from .prng import Stream
 
 MODE_NAIVE = "naive"
@@ -42,7 +51,8 @@ CERT_HONEST_REFUSE = "honest-refuse"
 CERT_RUBBERSTAMP = "rubberstamp"
 
 # naive mode retries until a favorable draw lands, which is almost surely
-# finite; the cap only guards against misconfigured zero-chance scenarios
+# finite; scenario validation rejects zero-chance setups, and this cap turns
+# any built directly through the API into an error
 NAIVE_RETRY_LIMIT = 100_000
 
 
@@ -103,6 +113,47 @@ def _proposer_is_attacker(attacker: NodeAttacker, stream: Stream) -> bool:
     return stream.chance(q.numerator, q.denominator)
 
 
+def _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap) -> tuple:
+    """The withholding loop both randomness modes share; returns (block, withheld).
+
+    `winners_if(event)` is the winning set W the draw event would imply if
+    included; `winners_if` is None when the attacker cannot act on the draw.
+    While the attacker can act and has withheld fewer than `cap` blocks, each tick
+    samples a proposer by mining share. An attacking proposer withholds an
+    unfavorable draw: its slot ships an empty block and the draw event is
+    remade next tick. Honest proposers include unconditionally.
+    """
+    ledger = state.ledger
+    withheld = 0
+    while True:
+        event = ledger.make_event(
+            "draw", sender, {"instance": state.instance_id, "attempt": withheld}
+        )
+        miner = honest_miner
+        if (
+            winners_if is not None
+            and withheld < cap
+            and _proposer_is_attacker(attacker, stream)
+        ):
+            miner = attacker.address
+            kept = node_attack_filter(
+                [], event, attacker.guesses, winners_if(event), attacker.subset_rule
+            )
+            if not kept:
+                mine_block(ledger, miner, [])  # withhold: slot ships empty
+                ledger.advance_clock()
+                withheld += 1
+                continue
+        block = mine_block(ledger, miner, [event])
+        ledger.advance_clock()
+        return block, withheld
+
+
+def _outcome(state, attacker, withheld: int) -> RoundOutcome:
+    won = attacker is not None and lottery.winning_share_count(state, attacker.colluder) > 0
+    return RoundOutcome(state.winners, won, withheld)
+
+
 def run_naive_mode_round(
     state: lottery.LotteryState,
     attacker: NodeAttacker | None,
@@ -113,47 +164,25 @@ def run_naive_mode_round(
     """Resolve one naive-randomness draw under possible withholding.
 
     The winning set derives from the hash of the block that carries the
-    draw event. Each tick a proposer is sampled by mining share; the
-    attacker previews the candidate block and withholds unfavorable ones
-    (publishing an empty block in that slot), so the draw re-mines next
-    tick with a fresh hash. Honest proposers include unconditionally, and
-    an attacker holding no shares has nothing to gain and lets the draw
-    through.
+    draw event, so the attacker previews each candidate block it would
+    propose and a re-mine next tick gives a fresh hash. An attacker
+    holding no shares has nothing to gain and lets the draw through.
     """
-    ledger = state.ledger
     cfg = state.config
-    withheld = 0
-    filtering = attacker is not None and bool(attacker.guesses)
-    while True:
-        event = ledger.make_event(
-            "draw", sender, {"instance": state.instance_id, "attempt": withheld}
-        )
-        if filtering and _proposer_is_attacker(attacker, stream):
-            miner = attacker.address
-            candidate = preview_block(ledger, [event], miner)
-            w_if = lottery.derive_winners(
+    winners_if = None
+    if attacker is not None and attacker.guesses:
+        def winners_if(event):
+            candidate = preview_block(state.ledger, [event], attacker.address)
+            return lottery.derive_winners(
                 candidate.hash, cfg.winning_draws, cfg.guess_space_size
             )
-            kept = node_attack_filter(
-                [], event, attacker.guesses, w_if, attacker.subset_rule
-            )
-            if not kept:
-                mine_block(ledger, miner, [])  # withhold: slot ships empty
-                ledger.advance_clock()
-                withheld += 1
-                if withheld > NAIVE_RETRY_LIMIT:
-                    raise ProtocolError("withholding never found a favorable draw")
-                continue
-        else:
-            miner = honest_miner
-        block = mine_block(ledger, miner, [event])
-        ledger.advance_clock()
-        winners = lottery.draw(state, ledger.clock, seed=block.hash)
-        won = (
-            attacker is not None
-            and lottery.winning_share_count(state, attacker.colluder) > 0
-        )
-        return RoundOutcome(winners, won, withheld)
+    block, withheld = _mine_draw(
+        state, attacker, honest_miner, stream, sender, winners_if, NAIVE_RETRY_LIMIT
+    )
+    if withheld == NAIVE_RETRY_LIMIT:
+        raise ProtocolError("withholding never found a favorable draw")
+    lottery.draw(state, state.ledger.clock, seed=block.hash)
+    return _outcome(state, attacker, withheld)
 
 
 def run_commit_reveal_mode_round(
@@ -169,45 +198,17 @@ def run_commit_reveal_mode_round(
     attacker previews a winning set that no re-mine can change. Stalling
     stops at the futility cap (or the first honest proposer).
     """
-    ledger = state.ledger
     cfg = state.config
     output = randao.peek_output(state.round, excluded=frozenset(state.banned))
-    fixed_w = (
-        lottery.derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
-        if output is not None
-        else None
-    )
-    withheld = 0
-    filtering = attacker is not None and bool(attacker.guesses) and fixed_w is not None
-    while True:
-        event = ledger.make_event(
-            "draw", sender, {"instance": state.instance_id, "attempt": withheld}
-        )
-        if (
-            filtering
-            and withheld < attacker.futility_cap
-            and _proposer_is_attacker(attacker, stream)
-        ):
-            kept = node_attack_filter(
-                [], event, attacker.guesses, fixed_w, attacker.subset_rule
-            )
-            if not kept:
-                mine_block(ledger, attacker.address, [])
-                ledger.advance_clock()
-                withheld += 1
-                continue
-            miner = attacker.address
-        else:
-            miner = honest_miner
-        mine_block(ledger, miner, [event])
-        ledger.advance_clock()
-        winners = lottery.draw(state, ledger.clock)
-        won = (
-            attacker is not None
-            and winners is not None
-            and lottery.winning_share_count(state, attacker.colluder) > 0
-        )
-        return RoundOutcome(winners, won, withheld)
+    winners_if = None
+    cap = 0
+    if attacker is not None and attacker.guesses and output is not None:
+        fixed_w = lottery.derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
+        winners_if = lambda event: fixed_w
+        cap = attacker.futility_cap
+    _, withheld = _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap)
+    lottery.draw(state, state.ledger.clock)
+    return _outcome(state, attacker, withheld)
 
 
 def sybil_seed_material(controller_secret: bytes, salt: int) -> bytes:
@@ -240,17 +241,14 @@ def sybil_spawn(ledger: Ledger, attacker: SybilAttacker, n: int, start_salt: int
 def bounded_pow(challenge: bytes, difficulty: int, max_attempts: int) -> tuple:
     """Nonce search that gives up after max_attempts hashes.
 
-    Returns (proof or None, attempts actually burned). Mirrors the
+    Returns (proof or None, attempts actually burned). Same search as the
     unbounded solver: nonces from 0, one hash per attempt.
     """
-    attempts = 0
-    nonce = 0
-    while attempts < max_attempts:
-        attempts += 1
-        if digest_int(H(challenge + le8(nonce))) < difficulty:
-            return PowProof(challenge, nonce, difficulty), attempts
-        nonce += 1
-    return None, attempts
+    found = first_nonce(partial(pow_digest, challenge), difficulty, max_attempts)
+    if found is None:
+        return None, max(max_attempts, 0)
+    nonce, _ = found
+    return PowProof(challenge, nonce, difficulty), nonce + 1
 
 
 def sybil_admission_trial(

@@ -19,6 +19,8 @@ is the oracle the whole test suite leans on.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 
 from .errors import (
     AuthTagError,
@@ -257,19 +259,34 @@ def transfer(ledger: Ledger, src: bytes, dst: bytes, amount: int) -> None:
     ledger.credit(dst, amount)
 
 
+def first_nonce(digest_of, difficulty: int, max_attempts: int | None = None):
+    """Smallest nonce from 0 whose digest_of(nonce) reads below the target.
+
+    Returns (nonce, digest) after one digest_of call per attempt, or None
+    once max_attempts nonces (when given) have all missed.
+    """
+    for nonce in count() if max_attempts is None else range(max_attempts):
+        digest = digest_of(nonce)
+        if digest_int(digest) < difficulty:
+            return nonce, digest
+    return None
+
+
+def pow_digest(challenge: bytes, nonce: int) -> bytes:
+    """H(challenge || le8(nonce)): one proof-of-work attempt."""
+    return H(challenge + le8(nonce))
+
+
 def solve_pow(challenge: bytes, difficulty: int) -> PowProof:
-    """Find the smallest nonce with H(challenge || le8(nonce)) below the target."""
+    """Find the smallest nonce whose pow_digest reads below the target."""
     if not 0 < difficulty <= MAX_TARGET:
         raise ProtocolError("difficulty target must be in (0, 2^256]")
-    nonce = 0
-    while True:
-        if digest_int(H(challenge + le8(nonce))) < difficulty:
-            return PowProof(challenge, nonce, difficulty)
-        nonce += 1
+    nonce, _ = first_nonce(partial(pow_digest, challenge), difficulty)
+    return PowProof(challenge, nonce, difficulty)
 
 
 def verify_pow(proof: PowProof) -> bool:
-    return digest_int(H(proof.challenge + le8(proof.nonce))) < proof.difficulty
+    return digest_int(pow_digest(proof.challenge, proof.nonce)) < proof.difficulty
 
 
 def block_hash(prev_hash: bytes, events: tuple, nonce: int, miner: bytes) -> bytes:
@@ -278,19 +295,16 @@ def block_hash(prev_hash: bytes, events: tuple, nonce: int, miner: bytes) -> byt
 
 
 def _build_block(height: int, prev_hash: bytes, events: tuple, miner: bytes, difficulty: int) -> Block:
-    nonce = 0
-    while True:
-        digest = block_hash(prev_hash, events, nonce, miner)
-        if digest_int(digest) < difficulty:
-            return Block(height, prev_hash, events, nonce, miner, digest)
-        nonce += 1
+    nonce, digest = first_nonce(lambda n: block_hash(prev_hash, events, n, miner), difficulty)
+    return Block(height, prev_hash, events, nonce, miner, digest)
 
 
 def preview_block(ledger: Ledger, events, miner: bytes, difficulty: int | None = None) -> Block:
     """Mine a candidate on top of the current tip without publishing it.
 
-    The result is exactly the block mine_block would append for the same
-    inputs, so a proposer can inspect the hash first and choose to withhold.
+    mine_block builds the block it appends through this function, so the
+    preview is exactly that block for the same inputs and a proposer can
+    inspect the hash first and choose to withhold.
     """
     if difficulty is None:
         difficulty = ledger.mining_difficulty
@@ -304,8 +318,6 @@ def mine_block(ledger: Ledger, miner: bytes, pending, difficulty: int | None = N
     The whole call is atomic: a bad auth tag or an inapplicable transfer
     rejects everything, leaving chain and balances untouched.
     """
-    if difficulty is None:
-        difficulty = ledger.mining_difficulty
     miner_acct = ledger.account(miner)
     if not miner_acct.is_transaction_node:
         raise ProtocolError("miner must be a transaction node")
@@ -327,8 +339,7 @@ def mine_block(ledger: Ledger, miner: bytes, pending, difficulty: int | None = N
             ledger.debit(dst, amt)
             ledger.credit(src, amt)
         raise
-    prev = ledger.chain[-1]
-    block = _build_block(prev.height + 1, prev.hash, events, miner, difficulty)
+    block = preview_block(ledger, events, miner, difficulty)
     ledger.chain.append(block)
     ledger._last_mine_tick = ledger.clock
     return block

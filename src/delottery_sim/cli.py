@@ -8,7 +8,7 @@
 
 `run` executes a scenario and emits its report (stdout when --out is
 omitted); the mode, pool-mode and base-seed flags override the scenario
-file. `verify` re-checks an emitted JSON report's schema and
+file, and the overridden scenario is validated as a loaded one is. `verify` re-checks an emitted JSON report's schema and
 conservation. Both exit 0 only if every invariant check passes; exit 1
 means a failed check and exit 2 a usage or input error. Progress notes
 go to stderr so piped report bytes stay clean.
@@ -28,7 +28,7 @@ from .harness import (
     verify_report,
 )
 from .lottery import POOL_CONSISTENT, POOL_LITERAL
-from .scenario import load_scenario
+from .scenario import load_scenario, validate_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
         sc.rng_mode = args.mode
     if args.pool_mode is not None:
         sc.config.pool_mode = args.pool_mode
-        sc.config.validate()
+    validate_scenario(sc)  # the overrides can make a valid file invalid
     if args.seeds < 1:
         raise ProtocolError("--seeds must be >= 1")
     report = run_many(sc, args.seeds)

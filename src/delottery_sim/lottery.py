@@ -63,7 +63,6 @@ class LotteryConfig:
     share_price: int = 1_000_000
     security_factor: Fraction = Fraction(3, 2)
     cert_cap: int = 3
-    fee_ratio_denominator: int = FEE_RATIO_DENOMINATOR
     bet_duration: int = 2
     buffer_duration: int = 2
     guess_space_size: int = 10
@@ -80,8 +79,6 @@ class LotteryConfig:
             raise ConfigError("share_price must be >= 0")
         if self.cert_cap < 1:
             raise ConfigError("cert_cap must be >= 1")
-        if self.fee_ratio_denominator != FEE_RATIO_DENOMINATOR:
-            raise ConfigError("fee ratio denominator is fixed at 10^12")
         if self.bet_duration < 1 or self.buffer_duration < 1:
             raise ConfigError("bet_duration and buffer_duration must be >= 1 tick")
         if self.guess_space_size < 1:
@@ -334,7 +331,7 @@ def buy_shares(state: LotteryState, player: bytes, guesses, now: int) -> None:
     if m == 0:
         return
     price = state.config.share_price
-    fee = price // state.config.fee_ratio_denominator
+    fee = price // FEE_RATIO_DENOMINATOR
     cost = m * (price + fee)
     if state.ledger.balance_of(player) < cost:
         raise ProtocolError(f"balance below {cost} for {m} shares")
@@ -384,6 +381,14 @@ def derive_winners(seed: bytes, count: int, space: int) -> set:
     return winners
 
 
+def _mirror_refunds(state: LotteryState) -> None:
+    """Record on each player the full refund randao.refund_all paid out."""
+    for addr, commitment in state.round.commitments.items():
+        record = state.players.get(addr)
+        if record is not None:
+            record.deposit_refunded = commitment.deposit
+
+
 def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None:
     """Finalize randomness and fix the winning set W.
 
@@ -399,13 +404,8 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
         raise PhaseError(f"buffer runs until tick {state.round.reveal_deadline}")
     ledger = state.ledger
     if seed is not None:
-        if state.round.commitments:
-            # entropy unused in this mode; treat every deposit as returnable
-            for addr in sorted(state.round.commitments):
-                ledger.from_escrow(
-                    state.round.bucket, addr, state.round.commitments[addr].deposit
-                )
-            state.round.state = randao.FINALIZED
+        randao.refund_all(ledger, state.round)  # entropy unused; every deposit is returnable
+        _mirror_refunds(state)
         state.winners = derive_winners(
             seed, state.config.winning_draws, state.config.guess_space_size
         )
@@ -420,12 +420,8 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
             excluded=frozenset(state.banned),
             apply_refunds=refund_now,
         )
-    except NoEntropy:
-        # the abort already pushed every deposit back; mirror that on records
-        for addr, commitment in state.round.commitments.items():
-            record = state.players.get(addr)
-            if record is not None:
-                record.deposit_refunded = commitment.deposit
+    except NoEntropy:  # finalize has already returned every deposit
+        _mirror_refunds(state)
         state.no_entropy = True
         state.winners = None
         state._advance(DRAWN)
@@ -450,15 +446,20 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
     return state.winners
 
 
+def _pool_funds(state: LotteryState) -> tuple:
+    """(bucket, amount) of the pool money beside phi: the held deposits of
+    non-banned revealers (literal) or the stakes (consistent)."""
+    if state.config.pool_mode == POOL_LITERAL:
+        held = sum(d for a, d in state.held_deposits.items() if a not in state.banned)
+        return state.round.bucket, held
+    return state.stake_bucket, state.stake_pool
+
+
 def compute_prize_pool(state: LotteryState) -> int:
     """Pool r: phi plus held deposits (literal) or phi plus stakes (consistent)."""
     if state.phase not in (DRAWN, SETTLED):
         raise PhaseError("prize pool is defined once the draw has happened")
-    if state.config.pool_mode == POOL_LITERAL:
-        return state.phi + sum(
-            d for a, d in state.held_deposits.items() if a not in state.banned
-        )
-    return state.phi + state.stake_pool
+    return state.phi + _pool_funds(state)[1]
 
 
 def winning_share_count(state: LotteryState, player: bytes) -> int:
@@ -478,15 +479,14 @@ def settle(state: LotteryState) -> dict:
     identity sum(payouts) + remainder == pool is exact.
     """
     state._require(DRAWN)
-    ledger = state.ledger
     if state.no_entropy:
         # full-refund path: deposits came back at the abort, stakes here
-        for addr, record in state.players.items():
-            if record.stake_paid:
-                ledger.from_escrow(state.stake_bucket, addr, record.stake_paid)
+        _refund_stakes(state)
         state._advance(SETTLED)
         return {}
-    pool = compute_prize_pool(state)
+    ledger = state.ledger
+    funds_bucket, funds = _pool_funds(state)
+    pool = state.phi + funds
     state.pool_at_settle = pool
     counts = {a: winning_share_count(state, a) for a in state.eligible()}
     total_winning = sum(counts.values())
@@ -497,13 +497,8 @@ def settle(state: LotteryState) -> dict:
         pool_bucket = f"pool:{state.instance_id}"
         if state.phi:
             ledger.escrow_move(state.phi_bucket, pool_bucket, state.phi)
-        if literal:
-            held = sum(d for a, d in state.held_deposits.items() if a not in state.banned)
-            if held:
-                ledger.escrow_move(state.round.bucket, pool_bucket, held)
-        else:
-            if state.stake_pool:
-                ledger.escrow_move(state.stake_bucket, pool_bucket, state.stake_pool)
+        if funds:
+            ledger.escrow_move(funds_bucket, pool_bucket, funds)
         paid = 0
         for addr in state.players:
             shares = counts.get(addr, 0)
@@ -518,22 +513,22 @@ def settle(state: LotteryState) -> dict:
     else:
         if state.phi:
             ledger.escrow_to_sink(state.phi_bucket, state.phi)
-        if literal:
-            held = sum(d for a, d in state.held_deposits.items() if a not in state.banned)
-            if held:
-                ledger.escrow_move(state.round.bucket, f"pool:{state.instance_id}", held)
-                ledger.escrow_to_sink(f"pool:{state.instance_id}", held)
-        else:
-            for addr, record in state.players.items():
-                if record.stake_paid:
-                    ledger.from_escrow(state.stake_bucket, addr, record.stake_paid)
+        if not literal:
+            _refund_stakes(state)
     if literal:
-        # deposits of banned revealers never became refundable; capture them
-        leftover = ledger.escrow.get(state.round.bucket, 0) if state.round else 0
+        # deposits still in the round bucket go to the sink: the held ones
+        # when nobody won, and banned revealers', which never became refundable
+        leftover = ledger.escrow.get(state.round.bucket, 0)
         if leftover:
             ledger.escrow_to_sink(state.round.bucket, leftover)
     state._advance(SETTLED)
     return payouts
+
+
+def _refund_stakes(state: LotteryState) -> None:
+    for addr, record in state.players.items():
+        if record.stake_paid:
+            state.ledger.from_escrow(state.stake_bucket, addr, record.stake_paid)
 
 
 def settlement_report(state: LotteryState) -> str:

@@ -158,6 +158,15 @@ def peek_output(rnd: RngRound, excluded: frozenset = frozenset()) -> bytes | Non
     return combine(values, rnd.round_id)
 
 
+def refund_all(ledger: Ledger, rnd: RngRound) -> None:
+    """Close the round without an output, returning every committed deposit."""
+    for addr in sorted(rnd.commitments):
+        ledger.from_escrow(rnd.bucket, addr, rnd.commitments[addr].deposit)
+    rnd.state = FINALIZED
+    rnd.output = None
+    rnd.forfeited = 0
+
+
 def finalize(
     ledger: Ledger,
     rnd: RngRound,
@@ -181,11 +190,7 @@ def finalize(
         raise WindowError(f"cannot finalize before tick {rnd.reveal_deadline + 1}")
     values = {a: r.value for a, r in rnd.reveals.items() if a not in excluded}
     if not values:
-        for addr in sorted(rnd.commitments):
-            ledger.from_escrow(rnd.bucket, addr, rnd.commitments[addr].deposit)
-        rnd.state = FINALIZED
-        rnd.output = None
-        rnd.forfeited = 0
+        refund_all(ledger, rnd)
         raise NoEntropy(
             f"round {rnd.round_id} had no valid reveals; all deposits returned"
         )

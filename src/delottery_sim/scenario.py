@@ -30,50 +30,12 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import CERT_HONEST_REFUSE, CERT_RUBBERSTAMP, MODE_NAIVE, RNG_MODES
+from .adversary import CERT_HONEST_REFUSE, CERT_RUBBERSTAMP, MODE_NAIVE, RNG_MODES, NodeAttacker
 from .errors import ConfigError, ScenarioError
 from .lottery import LotteryConfig
 
 STRATEGY_UNIFORM = "uniform"
 STRATEGY_FIXED = "fixed"
-
-_GLOBAL_KEYS = frozenset(
-    (
-        "name",
-        "rounds",
-        "base_seed",
-        "rng_mode",
-        "share_price",
-        "security_factor",
-        "cert_cap",
-        "bet_duration",
-        "buffer_duration",
-        "guess_space_size",
-        "winning_draws",
-        "pool_mode",
-        "pow_difficulty_bits",
-        "cert_eviction",
-    )
-)
-_PLAYER_KEYS = frozenset(
-    ("seed_material", "balance", "shares", "guess_strategy", "guesses", "reveals")
-)
-_ATTACKER_KEYS = frozenset(
-    (
-        "kind",
-        "seed_material",
-        "balance",
-        "mining_share",
-        "shares",
-        "guesses",
-        "subset_rule",
-        "futility_cap",
-        "reveals",
-        "fake_count",
-        "budget",
-        "certifier_policy",
-    )
-)
 
 DEFAULT_BALANCE = 100_000_000
 
@@ -96,7 +58,7 @@ class NodeAttackerSpec:
     shares: int = 1
     guesses: list = field(default_factory=list)  # empty: uniform per round
     subset_rule: bool = False
-    futility_cap: int = 16
+    futility_cap: int = NodeAttacker.futility_cap
     reveals: bool = True
     kind: str = "node"
 
@@ -150,6 +112,73 @@ def _parse_int_list(raw: str, line_no: int, key: str) -> list:
     return [_parse_int(part.strip(), line_no, key) for part in raw.split(",")]
 
 
+def _str_value(raw: str, line_no: int, key: str) -> str:
+    if not raw:
+        raise ScenarioError(f"line {line_no}: {key} must not be empty")
+    return raw
+
+
+def _parse_difficulty_bits(raw: str, line_no: int, key: str) -> int:
+    bits = _parse_int(raw, line_no, key)
+    if not 1 <= bits <= 256:
+        raise ScenarioError(f"line {line_no}: {key} must be in [1, 256]")
+    return 1 << bits
+
+
+# key -> parser, one table per section. A section's keys are the fields of
+# the object it builds, so each default is stated once, on that object;
+# pow_difficulty_bits is the one key that renames its field.
+_SCENARIO_KEYS = {
+    "name": _str_value,
+    "rounds": _parse_int,
+    "base_seed": _parse_int,
+    "rng_mode": _str_value,
+}
+_CONFIG_KEYS = {
+    "share_price": _parse_int,
+    "security_factor": _parse_fraction,
+    "cert_cap": _parse_int,
+    "bet_duration": _parse_int,
+    "buffer_duration": _parse_int,
+    "guess_space_size": _parse_int,
+    "winning_draws": _parse_int,
+    "pool_mode": _str_value,
+    "pow_difficulty_bits": _parse_difficulty_bits,
+    "cert_eviction": _str_value,
+}
+_PLAYER_KEYS = {
+    "seed_material": _str_value,
+    "balance": _parse_int,
+    "shares": _parse_int,
+    "guess_strategy": _str_value,
+    "guesses": _parse_int_list,
+    "reveals": _parse_bool,
+}
+_NODE_KEYS = {
+    "kind": _str_value,
+    "seed_material": _str_value,
+    "balance": _parse_int,
+    "mining_share": _parse_fraction,
+    "shares": _parse_int,
+    "guesses": _parse_int_list,
+    "subset_rule": _parse_bool,
+    "futility_cap": _parse_int,
+    "reveals": _parse_bool,
+}
+_SYBIL_KEYS = {
+    "kind": _str_value,
+    "seed_material": _str_value,
+    "fake_count": _parse_int,
+    "budget": _parse_int,
+    "certifier_policy": _str_value,
+}
+_SECTION_KEYS = {
+    "global": {**_SCENARIO_KEYS, **_CONFIG_KEYS},
+    "player": _PLAYER_KEYS,
+    "attacker": {**_NODE_KEYS, **_SYBIL_KEYS},
+}
+
+
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     """Parse scenario text; raises ScenarioError with a line number."""
     top: dict = {}
@@ -180,130 +209,69 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        allowed = {
-            "global": _GLOBAL_KEYS,
-            "player": _PLAYER_KEYS,
-            "attacker": _ATTACKER_KEYS,
-        }[section_kind]
-        if key not in allowed:
+        parsers = _SECTION_KEYS[section_kind]
+        if key not in parsers:
             raise ScenarioError(f"line {line_no}: unknown {section_kind} key {key!r}")
         target = top if section_kind == "global" else section
         if key in target:
             raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
-        target[key] = (value, line_no)
+        target[key] = (parsers[key](value, line_no, key), line_no)
     return _build_scenario(top, players, attacker, default_name)
 
 
-def _take(section: dict, key: str, parse, default):
-    if key not in section:
-        return default
-    value, line_no = section.pop(key)
-    return parse(value, line_no, key)
-
-
-def _str_value(raw: str, line_no: int, key: str) -> str:
-    if not raw:
-        raise ScenarioError(f"line {line_no}: {key} must not be empty")
-    return raw
+def _values(section: dict) -> dict:
+    """Parsed values of a section by key, without their line numbers."""
+    return {key: value for key, (value, _) in section.items()}
 
 
 def _build_scenario(top, players, attacker, default_name) -> Scenario:
-    name = _take(top, "name", _str_value, default_name)
-    rounds = _take(top, "rounds", _parse_int, 1)
-    base_seed = _take(top, "base_seed", _parse_int, 0)
-    rng_mode = _take(top, "rng_mode", _str_value, "commit-reveal")
-    if rng_mode not in RNG_MODES:
-        raise ScenarioError(f"rng_mode must be one of {', '.join(RNG_MODES)}, got {rng_mode!r}")
-    if rounds < 1:
-        raise ScenarioError("rounds must be >= 1")
-    config = LotteryConfig()
-    config.share_price = _take(top, "share_price", _parse_int, config.share_price)
-    config.security_factor = _take(
-        top, "security_factor", _parse_fraction, config.security_factor
-    )
-    config.cert_cap = _take(top, "cert_cap", _parse_int, config.cert_cap)
-    config.bet_duration = _take(top, "bet_duration", _parse_int, config.bet_duration)
-    config.buffer_duration = _take(
-        top, "buffer_duration", _parse_int, config.buffer_duration
-    )
-    config.guess_space_size = _take(
-        top, "guess_space_size", _parse_int, config.guess_space_size
-    )
-    config.winning_draws = _take(top, "winning_draws", _parse_int, config.winning_draws)
-    config.pool_mode = _take(top, "pool_mode", _str_value, config.pool_mode)
-    bits = _take(top, "pow_difficulty_bits", _parse_int, 256)
-    if not 1 <= bits <= 256:
-        raise ScenarioError("pow_difficulty_bits must be in [1, 256]")
-    config.pow_difficulty = 1 << bits
-    config.cert_eviction = _take(top, "cert_eviction", _str_value, config.cert_eviction)
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from None
-
+    values = _values(top)
+    if "pow_difficulty_bits" in values:
+        values["pow_difficulty"] = values.pop("pow_difficulty_bits")
+    scenario_fields = {k: values.pop(k) for k in _SCENARIO_KEYS if k in values}
+    scenario_fields.setdefault("name", default_name)
+    config = LotteryConfig(**values)
     if not players:
         raise ScenarioError("scenario needs at least one [player] section")
     player_specs = [_build_player(section, i) for i, section in enumerate(players)]
-
-    attacker_spec = None
-    if attacker is not None:
-        attacker_spec = _build_attacker(attacker)
-
+    attacker_spec = None if attacker is None else _build_attacker(attacker)
     scenario = Scenario(
-        name, config, player_specs, attacker_spec, rng_mode, rounds, base_seed
+        config=config, players=player_specs, attacker=attacker_spec, **scenario_fields
     )
-    _validate_scenario(scenario)
+    validate_scenario(scenario)
     return scenario
 
 
 def _build_player(section: dict, index: int) -> PlayerSpec:
-    spec = PlayerSpec(
-        seed_material=_take(section, "seed_material", _str_value, f"player-{index}"),
-        balance=_take(section, "balance", _parse_int, DEFAULT_BALANCE),
-        shares=_take(section, "shares", _parse_int, 1),
-        guess_strategy=_take(section, "guess_strategy", _str_value, STRATEGY_UNIFORM),
-        guesses=_take(section, "guesses", _parse_int_list, []),
-        reveals=_take(section, "reveals", _parse_bool, True),
-    )
-    _reject_leftovers(section)
-    return spec
+    fields = _values(section)
+    fields.setdefault("seed_material", f"player-{index}")
+    return PlayerSpec(**fields)
 
 
 def _build_attacker(section: dict):
-    kind = _take(section, "kind", _str_value, "node")
-    if kind == "node":
-        spec = NodeAttackerSpec(
-            seed_material=_take(section, "seed_material", _str_value, "attacker"),
-            balance=_take(section, "balance", _parse_int, DEFAULT_BALANCE),
-            mining_share=_take(section, "mining_share", _parse_fraction, Fraction(3, 10)),
-            shares=_take(section, "shares", _parse_int, 1),
-            guesses=_take(section, "guesses", _parse_int_list, []),
-            subset_rule=_take(section, "subset_rule", _parse_bool, False),
-            futility_cap=_take(section, "futility_cap", _parse_int, 16),
-            reveals=_take(section, "reveals", _parse_bool, True),
-        )
-    elif kind == "sybil":
-        spec = SybilAttackerSpec(
-            seed_material=_take(section, "seed_material", _str_value, "sybil-controller"),
-            fake_count=_take(section, "fake_count", _parse_int, 10),
-            budget=_take(section, "budget", _parse_int, 1_000_000),
-            certifier_policy=_take(
-                section, "certifier_policy", _str_value, CERT_HONEST_REFUSE
-            ),
-        )
-    else:
+    # node and sybil keys share one section table; each kind takes only its own
+    kind = section.get("kind", ("node", None))[0]
+    specs = {"node": (NodeAttackerSpec, _NODE_KEYS), "sybil": (SybilAttackerSpec, _SYBIL_KEYS)}
+    if kind not in specs:
         raise ScenarioError(f"attacker kind must be node or sybil, got {kind!r}")
-    _reject_leftovers(section)
-    return spec
-
-
-def _reject_leftovers(section: dict) -> None:
+    spec, keys = specs[kind]
     for key, (_, line_no) in section.items():
-        raise ScenarioError(f"line {line_no}: key {key!r} not valid for this section kind")
+        if key not in keys:
+            raise ScenarioError(f"line {line_no}: key {key!r} not valid for this section kind")
+    return spec(**_values(section))
 
 
-def _validate_scenario(sc: Scenario) -> None:
+def validate_scenario(sc: Scenario) -> None:
+    """Reject a scenario the simulator cannot run; call again after edits."""
+    if sc.rng_mode not in RNG_MODES:
+        raise ScenarioError(f"rng_mode must be one of {', '.join(RNG_MODES)}, got {sc.rng_mode!r}")
+    if sc.rounds < 1:
+        raise ScenarioError("rounds must be >= 1")
     cfg = sc.config
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ScenarioError(str(exc)) from None
     names = [p.seed_material for p in sc.players]
     if sc.attacker is not None:
         names.append(sc.attacker.seed_material)
@@ -343,10 +311,23 @@ def _validate_scenario(sc: Scenario) -> None:
             raise ScenarioError("mining_share must lie in [0, 1]")
         if atk.futility_cap < 0:
             raise ScenarioError("futility_cap must be >= 0")
-        if sc.rng_mode == MODE_NAIVE and atk.shares == 0 and atk.mining_share == 1:
-            raise ScenarioError(
-                "naive mode with mining_share 1 and no attacker shares never terminates"
+        if sc.rng_mode == MODE_NAIVE and atk.mining_share == 1:
+            # the attacker proposes every block, so the draw lands only once
+            # it is favorable; each round must be able to draw such a W
+            if atk.shares == 0:
+                raise ScenarioError(
+                    "naive mode with mining_share 1 and no attacker shares never terminates"
+                )
+            distinct = (
+                len(set(atk.guesses)) if atk.guesses
+                else min(atk.shares, cfg.guess_space_size)
             )
+            if atk.subset_rule and distinct > cfg.winning_draws:
+                raise ScenarioError(
+                    f"naive mode with mining_share 1 and subset_rule never terminates "
+                    f"unless the attacker's distinct guesses ({distinct} possible) are at "
+                    f"most winning_draws ({cfg.winning_draws})"
+                )
     elif isinstance(atk, SybilAttackerSpec):
         if atk.fake_count < 0 or atk.budget < 0:
             raise ScenarioError("fake_count and budget must be >= 0")

@@ -33,7 +33,8 @@ from delottery_sim import (
     upload_key,
     verify_pow,
 )
-from delottery_sim.randao import peek_output
+from delottery_sim import adversary
+from delottery_sim.randao import FINALIZED, peek_output
 
 
 # --- the filter itself ---------------------------------------------------
@@ -79,7 +80,7 @@ def test_attacker_mining_share_validation():
 # --- withholding in a live round -----------------------------------------
 
 
-def drive_to_draw(mode, colluder_guesses, space=4):
+def drive_to_draw(mode, colluder_guesses, space=4, uploads=False):
     """Stand a 2-player lottery in Buffer with the reveal window closed."""
     ledger = Ledger()
     miner = create_account(ledger, b"\x00m", 0, is_transaction_node=True).address
@@ -94,7 +95,7 @@ def drive_to_draw(mode, colluder_guesses, space=4):
     add_player(state, addrs[1], proof, set(state.active_certifiers), ledger.clock)
     ledger.advance_clock()
     begin_key_upload(state, ledger.clock)
-    if mode == "commit-reveal":
+    if mode == "commit-reveal" or uploads:
         for i, a in enumerate(addrs):
             upload_key(state, a, key=1000 + i, now=ledger.clock)
     while ledger.clock <= state.round.commit_deadline:
@@ -129,6 +130,16 @@ def test_naive_full_share_attacker_always_wins():
     assert empties >= outcome.withheld
 
 
+def test_naive_impossible_draw_hits_retry_limit(monkeypatch):
+    # subset rule with two guesses and one winning draw: nothing is favorable
+    monkeypatch.setattr(adversary, "NAIVE_RETRY_LIMIT", 3)
+    ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [0, 1])
+    attacker = NodeAttacker(atk_node, addrs[1], [0, 1], Fraction(1), subset_rule=True)
+    with pytest.raises(ProtocolError, match="never found a favorable draw"):
+        run_naive_mode_round(state, attacker, miner, Stream(7, 0, "proposer"), addrs[0])
+    assert sum(1 for b in ledger.chain if not b.events and b.miner == atk_node) == 3
+
+
 def test_naive_zero_share_attacker_never_withholds():
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [2])
     attacker = NodeAttacker(atk_node, addrs[1], [2], Fraction(0))
@@ -157,6 +168,22 @@ def test_naive_without_attacker_matches_first_block_hash():
         block.hash, cfg.winning_draws, cfg.guess_space_size
     )
     assert outcome.withheld == 0 and not outcome.attacker_won
+
+
+def test_naive_draw_refunds_uploaded_deposits():
+    # block-hash randomness ignores the round, so every deposit comes back
+    ledger, state, miner, _, addrs = drive_to_draw("naive", [2], uploads=True)
+    deposits = {a: state.players[a].deposit for a in addrs}
+    assert all(deposits.values())
+    before = {a: ledger.balance_of(a) for a in addrs}
+    run_naive_mode_round(state, None, miner, Stream(7, 0, "x"), addrs[0])
+    assert state.round.state == FINALIZED
+    assert state.round.bucket not in ledger.escrow
+    for a in addrs:
+        assert ledger.balance_of(a) == before[a] + deposits[a]
+        assert state.players[a].deposit_refunded == deposits[a]
+    settle(state)
+    assert ledger.conservation_residual() == 0
 
 
 def test_commit_reveal_withholding_cannot_change_winners():

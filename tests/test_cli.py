@@ -98,6 +98,21 @@ def test_override_flags_land_in_report(scenario_path, capsys):
     assert data["seed"] == 9
 
 
+def test_mode_override_is_validated(tmp_path, capsys):
+    # valid in commit-reveal mode; under --mode naive the withholding
+    # attacker can never see a favorable draw
+    path = tmp_path / "stuck.txt"
+    path.write_text(
+        SCENARIO
+        + "[attacker]\nseed_material = mallory\nmining_share = 1\n"
+        + "shares = 2\nguesses = 0, 1\nsubset_rule = yes\n"
+    )
+    assert main(["run", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--mode", "naive"]) == 2
+    assert "subset_rule" in capsys.readouterr().err
+
+
 def test_argparse_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # --scenario is required

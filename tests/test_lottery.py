@@ -89,7 +89,6 @@ def test_config_validation():
         dict(security_factor=Fraction(2)),
         dict(share_price=-1),
         dict(cert_cap=0),
-        dict(fee_ratio_denominator=10**6),
         dict(bet_duration=0),
         dict(buffer_duration=0),
         dict(guess_space_size=0),

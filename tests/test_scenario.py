@@ -195,6 +195,17 @@ def test_attacker_validation():
             + "[attacker]\nkind = node\nmining_share = 1\nshares = 0\n"
         )
     assert "never terminates" in str(err.value)
+    # subset rule: no draw can hold more distinct guesses than winning_draws
+    naive_subset = "rng_mode = naive\n" + MINIMAL + (
+        "[attacker]\nkind = node\nmining_share = 1\nshares = 2\nsubset_rule = yes\n"
+    )
+    for guesses in ("guesses = 0, 1\n", ""):  # fixed, then uniform
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(naive_subset + guesses)
+        assert "subset_rule never terminates" in str(err.value)
+        assert "winning_draws (1)" in str(err.value)
+    parse_scenario(naive_subset + "guesses = 3, 3\n")
+    parse_scenario("winning_draws = 2\n" + naive_subset + "guesses = 0, 1\n")
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL + "[attacker]\nkind = sybil\ncertifier_policy = bribe\n")
     assert "certifier_policy" in str(err.value)
