@@ -52,7 +52,8 @@ CERT_RUBBERSTAMP = "rubberstamp"
 
 # naive mode retries until a favorable draw lands, which is almost surely
 # finite; scenario validation rejects zero-chance setups, and this cap turns
-# any built directly through the API into an error
+# any built directly through the API into an error that leaves the chain and
+# the clock as the round found them
 NAIVE_RETRY_LIMIT = 100_000
 
 
@@ -169,10 +170,12 @@ def run_naive_mode_round(
     holding no shares has nothing to gain and lets the draw through.
     """
     cfg = state.config
+    ledger = state.ledger
+    height, clock, last_mine_tick = len(ledger.chain), ledger.clock, ledger._last_mine_tick
     winners_if = None
     if attacker is not None and attacker.guesses:
         def winners_if(event):
-            candidate = preview_block(state.ledger, [event], attacker.address)
+            candidate = preview_block(ledger, [event], attacker.address)
             return lottery.derive_winners(
                 candidate.hash, cfg.winning_draws, cfg.guess_space_size
             )
@@ -180,8 +183,11 @@ def run_naive_mode_round(
         state, attacker, honest_miner, stream, sender, winners_if, NAIVE_RETRY_LIMIT
     )
     if withheld == NAIVE_RETRY_LIMIT:
+        # a raised ProtocolError means nothing happened: drop the withheld and draw blocks
+        del ledger.chain[height:]
+        ledger.clock, ledger._last_mine_tick = clock, last_mine_tick
         raise ProtocolError("withholding never found a favorable draw")
-    lottery.draw(state, state.ledger.clock, seed=block.hash)
+    lottery.draw(state, ledger.clock, seed=block.hash)
     return _outcome(state, attacker, withheld)
 
 
@@ -199,13 +205,14 @@ def run_commit_reveal_mode_round(
     stops at the futility cap (or the first honest proposer).
     """
     cfg = state.config
-    output = randao.peek_output(state.round, excluded=frozenset(state.banned))
     winners_if = None
     cap = 0
-    if attacker is not None and attacker.guesses and output is not None:
-        fixed_w = lottery.derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
-        winners_if = lambda event: fixed_w
-        cap = attacker.futility_cap
+    if attacker is not None and attacker.guesses:
+        output = randao.peek_output(state.round, excluded=frozenset(state.banned))
+        if output is not None:
+            fixed_w = lottery.derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
+            winners_if = lambda event: fixed_w
+            cap = attacker.futility_cap
     _, withheld = _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap)
     lottery.draw(state, state.ledger.clock)
     return _outcome(state, attacker, withheld)

@@ -79,28 +79,53 @@ class _Entry:
     name: str
     address: bytes
     spec: PlayerSpec
-    is_colluder: bool = False
 
 
-def _tick(ledger: Ledger, miner: bytes) -> None:
-    """Mine whatever is pending (if anything) and advance one tick."""
-    if ledger.pending:
-        events = list(ledger.pending)
-        ledger.pending.clear()
-        mine_block(ledger, miner, events)
-    ledger.advance_clock()
+def _enroll(ledger: Ledger, spec: PlayerSpec) -> _Entry:
+    acct = create_account(ledger, spec.seed_material.encode(), spec.balance)
+    return _Entry(spec.seed_material, acct.address, spec)
 
 
-def _sample_guesses(entry: _Entry, seed: int, round_index: int, space: int) -> list:
+def _tick_through(ledger: Ledger, miner: bytes, deadline: int) -> None:
+    """Advance the clock past `deadline`, mining whatever is pending at each tick."""
+    while ledger.clock <= deadline:
+        if ledger.pending:
+            events = list(ledger.pending)
+            ledger.pending.clear()
+            mine_block(ledger, miner, events)
+        ledger.advance_clock()
+
+
+def _each_player(entries, verb: str, op, r: int, rejections: list) -> dict:
+    """Run op(entry) in roster order; returns address -> result of each call that succeeded.
+
+    A ProtocolError is that player's failure, not the run's: it is recorded
+    as `round r: <verb> <name>: <error>` and the next player moves.
+    """
+    results = {}
+    for entry in entries:
+        try:
+            results[entry.address] = op(entry)
+        except ProtocolError as exc:
+            rejections.append(f"round {r}: {verb} {entry.name}: {exc}")
+    return results
+
+
+def _upload(state: LotteryState, entry: _Entry, seed: int, r: int) -> int:
+    key = Stream(seed, r, b"key/" + entry.name.encode()).next_i64()
+    upload_key(state, entry.address, key, state.ledger.clock)
+    return key
+
+
+def _bet(state: LotteryState, entry: _Entry, seed: int, r: int) -> list:
     spec = entry.spec
     if spec.guess_strategy == STRATEGY_FIXED:
-        return list(spec.guesses)
-    stream = Stream(seed, round_index, b"guess/" + entry.name.encode())
-    return [stream.below(space) for _ in range(spec.shares)]
-
-
-def _player_key(entry: _Entry, seed: int, round_index: int) -> int:
-    return Stream(seed, round_index, b"key/" + entry.name.encode()).next_i64()
+        guesses = list(spec.guesses)
+    else:
+        stream = Stream(seed, r, b"guess/" + entry.name.encode())
+        guesses = [stream.below(state.config.guess_space_size) for _ in range(spec.shares)]
+    buy_shares(state, entry.address, guesses, state.ledger.clock)
+    return guesses
 
 
 def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
@@ -110,52 +135,42 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
     ledger = Ledger()
     miner = create_account(ledger, _MINER_MATERIAL, 0, is_transaction_node=True).address
 
-    player_specs = list(sc.players)
-    colluder_name = None
+    roster = [_enroll(ledger, spec) for spec in sc.players]
     node_attacker = None
     sybil_attacker = None
-    sybil_spec = None
-    if isinstance(sc.attacker, NodeAttackerSpec):
-        a = sc.attacker
+    sybil = None
+    a = sc.attacker
+    if isinstance(a, NodeAttackerSpec):
+        # the colluder plays as the last roster entry
         strategy = STRATEGY_FIXED if a.guesses else STRATEGY_UNIFORM
-        player_specs.append(
-            PlayerSpec(a.seed_material, a.balance, a.shares, strategy, list(a.guesses), a.reveals)
+        colluder = PlayerSpec(
+            a.seed_material, a.balance, a.shares, strategy, list(a.guesses), a.reveals
         )
-        colluder_name = a.seed_material
-
-    roster = []
-    for spec in player_specs:
-        acct = create_account(ledger, spec.seed_material.encode(), spec.balance)
-        roster.append(
-            _Entry(spec.seed_material, acct.address, spec, spec.seed_material == colluder_name)
-        )
-
-    if isinstance(sc.attacker, NodeAttackerSpec):
-        a = sc.attacker
+        roster.append(_enroll(ledger, colluder))
         node_acct = create_account(
             ledger, _ATTACKER_NODE_PREFIX + a.seed_material.encode(), 0,
             is_transaction_node=True,
         )
-        colluder_addr = next(e.address for e in roster if e.is_colluder)
         node_attacker = NodeAttacker(
-            node_acct.address, colluder_addr, [], a.mining_share,
+            node_acct.address, roster[-1].address, [], a.mining_share,
             subset_rule=a.subset_rule, futility_cap=a.futility_cap,
         )
-    elif isinstance(sc.attacker, SybilAttackerSpec):
-        sybil_spec = sc.attacker
-        controller = create_account(ledger, sybil_spec.seed_material.encode(), 0)
-        sybil_attacker = SybilAttacker(
-            controller.address, sybil_spec.fake_count, sybil_spec.budget
-        )
+    elif isinstance(a, SybilAttackerSpec):
+        controller = create_account(ledger, a.seed_material.encode(), 0).address
+        sybil_attacker = SybilAttacker(controller, a.fake_count, a.budget)
+        sybil = {
+            "sybil_admitted": 0,
+            "sybil_spend": 0,
+            "certifier_policy": a.certifier_policy,
+            "controller": controller.hex(),
+            "admitted_identities": {},
+        }
 
     histogram = {e.name: 0 for e in roster}
     winners_per_round: list = []
     rejections: list[str] = []
     attacker_wins = 0
     withhold_count = 0
-    sybil_admitted = 0
-    sybil_spend = 0
-    admitted_identities: dict[str, str] = {}
 
     for r in range(sc.rounds):
         state = deploy(ledger, roster[0].address, cfg, ledger.clock)
@@ -163,67 +178,39 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
             proof = solve_pow(admission_challenge(state, entry.address), cfg.pow_difficulty)
             add_player(state, entry.address, proof, set(state.active_certifiers), ledger.clock)
         if sybil_attacker is not None:
-            fakes = sybil_spawn(
-                ledger, sybil_attacker, sybil_spec.fake_count,
-                start_salt=r * sybil_spec.fake_count,
-            )
+            n = sybil_attacker.fake_count
+            fakes = sybil_spawn(ledger, sybil_attacker, n, start_salt=r * n)
             admitted, spent = sybil_admission_trial(
-                state, fakes, sybil_spec.certifier_policy, sybil_spec.budget
+                state, fakes, sybil["certifier_policy"], sybil_attacker.budget
             )
-            sybil_admitted += admitted
-            sybil_spend += spent
+            sybil["sybil_admitted"] += admitted
+            sybil["sybil_spend"] += spent
             for fake in fakes:
                 if fake in state.players:
-                    admitted_identities[fake.hex()] = sybil_attacker.controller.hex()
-        _tick(ledger, miner)
+                    sybil["admitted_identities"][fake.hex()] = sybil["controller"]
+        _tick_through(ledger, miner, ledger.clock)
 
         begin_key_upload(state, ledger.clock)
-        keys: dict[bytes, int] = {}
+        keys = {}
         if sc.rng_mode == MODE_COMMIT_REVEAL:
-            for entry in roster:
-                key = _player_key(entry, seed, r)
-                try:
-                    upload_key(state, entry.address, key, ledger.clock)
-                    keys[entry.address] = key
-                except ProtocolError as exc:
-                    rejections.append(f"round {r}: upload {entry.name}: {exc}")
-        while ledger.clock <= state.round.commit_deadline:
-            _tick(ledger, miner)
+            upload = lambda e: _upload(state, e, seed, r)
+            keys = _each_player(roster, "upload", upload, r, rejections)
+        _tick_through(ledger, miner, state.round.commit_deadline)
 
         begin_betting(state, ledger.clock)
-        for entry in roster:
-            guesses = _sample_guesses(entry, seed, r, cfg.guess_space_size)
-            try:
-                buy_shares(state, entry.address, guesses, ledger.clock)
-            except ProtocolError as exc:
-                guesses = []
-                rejections.append(f"round {r}: bet {entry.name}: {exc}")
-            if entry.is_colluder:
-                node_attacker.guesses = guesses
-        while ledger.clock <= state.betting_close:
-            _tick(ledger, miner)
+        bets = _each_player(roster, "bet", lambda e: _bet(state, e, seed, r), r, rejections)
+        if node_attacker is not None:
+            node_attacker.guesses = bets.get(roster[-1].address, [])
+        _tick_through(ledger, miner, state.betting_close)
 
         enter_buffer(state, ledger.clock)
-        if sc.rng_mode == MODE_COMMIT_REVEAL:
-            for entry in roster:
-                if entry.spec.reveals and entry.address in keys:
-                    try:
-                        reveal_key(state, entry.address, keys[entry.address], ledger.clock)
-                    except ProtocolError as exc:
-                        rejections.append(f"round {r}: reveal {entry.name}: {exc}")
-        while ledger.clock <= state.round.reveal_deadline:
-            _tick(ledger, miner)
+        revealers = [e for e in roster if e.spec.reveals and e.address in keys]
+        reveal = lambda e: reveal_key(state, e.address, keys[e.address], ledger.clock)
+        _each_player(revealers, "reveal", reveal, r, rejections)
+        _tick_through(ledger, miner, state.round.reveal_deadline)
 
-        proposer_stream = Stream(seed, r, b"proposer")
-        sender = roster[0].address
-        if sc.rng_mode == MODE_NAIVE:
-            outcome = run_naive_mode_round(
-                state, node_attacker, miner, proposer_stream, sender
-            )
-        else:
-            outcome = run_commit_reveal_mode_round(
-                state, node_attacker, miner, proposer_stream, sender
-            )
+        draw = run_naive_mode_round if sc.rng_mode == MODE_NAIVE else run_commit_reveal_mode_round
+        outcome = draw(state, node_attacker, miner, Stream(seed, r, b"proposer"), roster[0].address)
         settle(state)
         winners_per_round.append(
             sorted(outcome.winners) if outcome.winners is not None else None
@@ -231,12 +218,11 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
         for entry in roster:
             if winning_share_count(state, entry.address) > 0:
                 histogram[entry.name] += 1
-        if node_attacker is not None:
-            attacker_wins += 1 if outcome.attacker_won else 0
-            withhold_count += outcome.withheld
+        attacker_wins += outcome.attacker_won
+        withhold_count += outcome.withheld
         if fault_hook is not None:
             fault_hook(ledger, r)
-        _tick(ledger, miner)
+        _tick_through(ledger, miner, ledger.clock)
 
     residual = ledger.conservation_residual()
     chi = None
@@ -252,15 +238,6 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
             "attacker_wins": attacker_wins,
             "total_rounds": sc.rounds,
             "withhold_count": withhold_count,
-        }
-    sybil = None
-    if sybil_attacker is not None:
-        sybil = {
-            "sybil_admitted": sybil_admitted,
-            "sybil_spend": sybil_spend,
-            "certifier_policy": sybil_spec.certifier_policy,
-            "controller": sybil_attacker.controller.hex(),
-            "admitted_identities": admitted_identities,
         }
 
     data = {
@@ -288,6 +265,14 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
     return RunReport(data, time.perf_counter() - t0)
 
 
+# the counters an aggregate attack/sybil block sums over seeds; per-seed rows
+# carry each one but total_rounds, which is rounds_per_seed on every seed
+_SUMMED = {
+    "attack": ("attacker_wins", "total_rounds", "withhold_count"),
+    "sybil": ("sybil_admitted", "sybil_spend"),
+}
+
+
 def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
     """Run seeds base_seed..base_seed+n-1 and fold; n=1 returns the single report."""
     if n_seeds < 1:
@@ -296,71 +281,42 @@ def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
     reports = [run_once(sc, sc.base_seed + i, fault_hook) for i in range(n_seeds)]
     if n_seeds == 1:
         return reports[0]
+    singles = [rep.data for rep in reports]
+    first = singles[0]
 
-    histogram = {name: 0 for name in reports[0].data["players"]}
     per_seed = []
-    chi_pass_count = 0
-    chi_seen = False
-    attacker_wins = 0
-    total_rounds = 0
-    withhold_count = 0
-    sybil_admitted = 0
-    sybil_spend = 0
-    admitted_identities: dict[str, str] = {}
-    residuals_zero = True
-    for rep in reports:
-        d = rep.data
-        for name, wins in d["winner_histogram"].items():
-            histogram[name] += wins
-        if d["conservation_residual"] != 0:
-            residuals_zero = False
+    for d in singles:
         chi = d["chi_square"]
-        if chi is not None:
-            chi_seen = True
-            chi_pass_count += 1 if chi["pass"] else 0
-        entry = {
+        row = {
             "seed": d["seed"],
             "conservation_residual": d["conservation_residual"],
             "chi_square_statistic": None if chi is None else chi["statistic"],
             "chi_square_pass": None if chi is None else chi["pass"],
             "fee_sink": d["fee_sink"],
         }
-        if d["attack"] is not None:
-            attacker_wins += d["attack"]["attacker_wins"]
-            total_rounds += d["attack"]["total_rounds"]
-            withhold_count += d["attack"]["withhold_count"]
-            entry["attacker_wins"] = d["attack"]["attacker_wins"]
-            entry["withhold_count"] = d["attack"]["withhold_count"]
-        if d["sybil"] is not None:
-            sybil_admitted += d["sybil"]["sybil_admitted"]
-            sybil_spend += d["sybil"]["sybil_spend"]
-            admitted_identities.update(d["sybil"]["admitted_identities"])
-            entry["sybil_admitted"] = d["sybil"]["sybil_admitted"]
-            entry["sybil_spend"] = d["sybil"]["sybil_spend"]
-        per_seed.append(entry)
+        for block, counters in _SUMMED.items():
+            if d[block] is not None:
+                row.update((k, d[block][k]) for k in counters if k != "total_rounds")
+        per_seed.append(row)
 
-    first = reports[0].data
-    attack = None
-    if first["attack"] is not None:
-        rate = attacker_wins / total_rounds
-        attack = {
-            "mode": first["attack"]["mode"],
-            "mining_share": first["attack"]["mining_share"],
-            "attacker_wins": attacker_wins,
-            "total_rounds": total_rounds,
-            "withhold_count": withhold_count,
-            "rate": rate,
-            "standard_error": stats.binomial_sigma(rate, total_rounds),
+    # each aggregate block is the first seed's block with its counters summed
+    folded = dict.fromkeys(_SUMMED)
+    for block, counters in _SUMMED.items():
+        if first[block] is not None:
+            folded[block] = dict(first[block])
+            for k in counters:
+                folded[block][k] = sum(d[block][k] for d in singles)
+    attack, sybil = folded["attack"], folded["sybil"]
+    if attack is not None:
+        attack["rate"] = attack["attacker_wins"] / attack["total_rounds"]
+        attack["standard_error"] = stats.binomial_sigma(attack["rate"], attack["total_rounds"])
+    if sybil is not None:
+        sybil["admitted_identities"] = {
+            fake: ctl for d in singles for fake, ctl in d["sybil"]["admitted_identities"].items()
         }
-    sybil = None
-    if first["sybil"] is not None:
-        sybil = {
-            "sybil_admitted": sybil_admitted,
-            "sybil_spend": sybil_spend,
-            "certifier_policy": first["sybil"]["certifier_policy"],
-            "controller": first["sybil"]["controller"],
-            "admitted_identities": admitted_identities,
-        }
+
+    chis = [d["chi_square"] for d in singles if d["chi_square"] is not None]
+    residuals_zero = all(d["conservation_residual"] == 0 for d in singles)
     data = {
         "schema": SCHEMA,
         "kind": "aggregate",
@@ -372,10 +328,12 @@ def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
         "pool_mode": sc.config.pool_mode,
         "players": list(first["players"]),
         "identities": dict(first["identities"]),
-        "winner_histogram": histogram,
+        "winner_histogram": {
+            name: sum(d["winner_histogram"][name] for d in singles) for name in first["players"]
+        },
         "per_seed": per_seed,
         "residuals_zero": residuals_zero,
-        "chi_square_pass_count": chi_pass_count if chi_seen else None,
+        "chi_square_pass_count": sum(c["pass"] for c in chis) if chis else None,
         "attack": attack,
         "sybil": sybil,
         "failing": not residuals_zero,

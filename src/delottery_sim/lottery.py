@@ -175,9 +175,9 @@ def compute_deposit(share_price: int, security_factor, player_balance: int) -> i
     """Deposit owed by a player: floor(max(s * 10^ln(k), f / k)) atomic units.
 
     The price term uses 64-bit floats for the transcendental; the balance
-    term is exact rational arithmetic, and the floor is applied once to
-    whichever term wins. k = 1 is accepted here (the identity case used in
-    tests); configs enforce the open interval (1, 2).
+    term is exact integer arithmetic. Floor is monotone, so the floor of the
+    larger term is the larger of the two floors. k = 1 is accepted here (the
+    identity case used in tests); configs enforce the open interval (1, 2).
     """
     k = Fraction(security_factor)
     if not Fraction(1) <= k < Fraction(2):
@@ -185,10 +185,7 @@ def compute_deposit(share_price: int, security_factor, player_balance: int) -> i
     if share_price < 0 or player_balance < 0:
         raise ProtocolError("share price and balance must be >= 0")
     price_term = share_price * 10.0 ** math.log(float(k))
-    balance_term = Fraction(player_balance) / k
-    if balance_term >= price_term:
-        return balance_term.numerator // balance_term.denominator
-    return math.floor(price_term)
+    return max(player_balance * k.denominator // k.numerator, math.floor(price_term))
 
 
 def deploy(ledger: Ledger, host: bytes, config: LotteryConfig, now: int) -> LotteryState:

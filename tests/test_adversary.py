@@ -135,9 +135,11 @@ def test_naive_impossible_draw_hits_retry_limit(monkeypatch):
     monkeypatch.setattr(adversary, "NAIVE_RETRY_LIMIT", 3)
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [0, 1])
     attacker = NodeAttacker(atk_node, addrs[1], [0, 1], Fraction(1), subset_rule=True)
+    chain, clock = list(ledger.chain), ledger.clock
     with pytest.raises(ProtocolError, match="never found a favorable draw"):
         run_naive_mode_round(state, attacker, miner, Stream(7, 0, "proposer"), addrs[0])
-    assert sum(1 for b in ledger.chain if not b.events and b.miner == atk_node) == 3
+    # a raised ProtocolError leaves nothing behind: no withheld or draw block
+    assert ledger.chain == chain and ledger.clock == clock
 
 
 def test_naive_zero_share_attacker_never_withholds():

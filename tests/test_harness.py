@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from delottery_sim import (
@@ -5,6 +7,7 @@ from delottery_sim import (
     ReportError,
     emit_report,
     load_report,
+    load_scenario,
     parse_scenario,
     report_csv_bytes,
     report_json_bytes,
@@ -13,6 +16,8 @@ from delottery_sim import (
     verify_report,
 )
 from delottery_sim.harness import _AGGREGATE_KEYS, _SINGLE_KEYS, SCHEMA
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TWO_PLAYERS = parse_scenario(
     """
@@ -94,6 +99,14 @@ def test_run_many_pools_histograms():
     assert d["residuals_zero"] is True
     assert d["failing"] is False
     assert verify_report(d) == []
+
+
+@pytest.mark.parametrize("scenario", ["node-attack-naive", "sybil"])
+def test_aggregate_report_matches_golden(scenario):
+    # pins the summed attack/sybil blocks and the per-seed counter rows
+    sc = load_scenario(ROOT / "scenarios" / f"{scenario}.txt")
+    golden = ROOT / "tests" / "golden" / f"{scenario}-3seeds.json"
+    assert report_json_bytes(run_many(sc, 3)) == golden.read_bytes()
 
 
 def test_fault_hook_breaks_conservation_and_flags_report():
