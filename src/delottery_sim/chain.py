@@ -13,6 +13,19 @@ it can verify any tag; an adversary that tampers with a payload cannot
 re-tag it without the secret, which preserves the forgeable-by-none
 contract at simulation grade.
 
+Byte layouts (nonces are 8-byte little-endian, as `hashing.le8`):
+
+- event body: `canonical_event_bytes`, "kind|sender_hex|timestamp|k=v|..."
+  with payload keys sorted; an event's wire bytes are body || auth_tag.
+- block hash: H(prev_hash || concat(event wire bytes) || le8(nonce) || miner).
+- proof-of-work attempt: H(challenge || le8(nonce)).
+
+Target predicate: a digest reads below difficulty d iff
+digest_int(digest) < d. Every check (nonce search, `verify_pow`,
+`verify_chain`) compares the digest bytes against `pow_target(d)` with
+<=, which is that predicate for every integer d: 32-byte strings of equal
+length order as big-endian integers.
+
 Conservation: sum(balances) + fee_sink + sum(escrow buckets) equals the
 total minted at genesis after every operation. `conservation_residual()`
 is the oracle the whole test suite leans on.
@@ -29,7 +42,7 @@ from .errors import (
     ProtocolError,
     UnknownAddress,
 )
-from .hashing import H, MAX_TARGET, digest_int, le8
+from .hashing import DIGEST_SIZE, H, MAX_TARGET
 
 GENESIS_PREV = b"\x00" * 32
 GENESIS_MINER = b"\x00" * 32
@@ -125,7 +138,7 @@ class Ledger:
         self._round_counter = 0
         self._lottery_counter = 0
         # genesis predates the clock; it does not occupy tick 0's block slot
-        genesis = _build_block(0, GENESIS_PREV, (), GENESIS_MINER, mining_difficulty)
+        genesis = _build_block(0, GENESIS_PREV, (), b"", GENESIS_MINER, mining_difficulty)
         self.chain: list[Block] = [genesis]
 
     # -- identifiers ------------------------------------------------------
@@ -216,11 +229,15 @@ class Ledger:
         return ev
 
     def verify_event(self, event: Event) -> bool:
+        return self._authentic_body(event) is not None
+
+    def _authentic_body(self, event: Event) -> bytes | None:
+        """The event's body encoded from its payload now, or None if its tag fails."""
         acct = self.accounts.get(event.sender)
         if acct is None:
-            return False
+            return None
         body = canonical_event_bytes(event.kind, event.sender, event.timestamp, event.payload)
-        return H(acct.secret + body) == event.auth_tag
+        return body if H(acct.secret + body) == event.auth_tag else None
 
     def advance_clock(self) -> int:
         self.clock += 1
@@ -259,22 +276,36 @@ def transfer(ledger: Ledger, src: bytes, dst: bytes, amount: int) -> None:
     ledger.credit(dst, amount)
 
 
+def pow_target(difficulty: int) -> bytes:
+    """The bytes a digest must not exceed to read below `difficulty`.
+
+    `digest <= pow_target(d)` equals `digest_int(digest) < d` for every
+    32-byte digest and every integer d: no digest qualifies for d <= 0
+    (every digest sorts after the empty string) and every one does for
+    d >= 2^256.
+    """
+    if difficulty <= 0:
+        return b""
+    return (min(difficulty, MAX_TARGET) - 1).to_bytes(DIGEST_SIZE, "big")
+
+
 def first_nonce(digest_of, difficulty: int, max_attempts: int | None = None):
     """Smallest nonce from 0 whose digest_of(nonce) reads below the target.
 
     Returns (nonce, digest) after one digest_of call per attempt, or None
     once max_attempts nonces (when given) have all missed.
     """
+    target = pow_target(difficulty)
     for nonce in count() if max_attempts is None else range(max_attempts):
         digest = digest_of(nonce)
-        if digest_int(digest) < difficulty:
+        if digest <= target:
             return nonce, digest
     return None
 
 
 def pow_digest(challenge: bytes, nonce: int) -> bytes:
     """H(challenge || le8(nonce)): one proof-of-work attempt."""
-    return H(challenge + le8(nonce))
+    return H(challenge + nonce.to_bytes(8, "little"))
 
 
 def solve_pow(challenge: bytes, difficulty: int) -> PowProof:
@@ -286,35 +317,48 @@ def solve_pow(challenge: bytes, difficulty: int) -> PowProof:
 
 
 def verify_pow(proof: PowProof) -> bool:
-    return digest_int(pow_digest(proof.challenge, proof.nonce)) < proof.difficulty
+    return pow_digest(proof.challenge, proof.nonce) <= pow_target(proof.difficulty)
 
 
-def block_hash(prev_hash: bytes, events: tuple, nonce: int, miner: bytes) -> bytes:
-    """hash = H(prev_hash || concat(event bytes) || le8(nonce) || miner)."""
-    return H(prev_hash + b"".join(event_wire_bytes(ev) for ev in events) + le8(nonce) + miner)
+def block_hash(prev_hash: bytes, event_bytes: bytes, nonce: int, miner: bytes) -> bytes:
+    """H(prev_hash || event_bytes || le8(nonce) || miner).
+
+    `event_bytes` is the concatenation of the block's event wire bytes,
+    joined once per block rather than once per nonce attempt.
+    """
+    return H(prev_hash + event_bytes + nonce.to_bytes(8, "little") + miner)
 
 
-def _build_block(height: int, prev_hash: bytes, events: tuple, miner: bytes, difficulty: int) -> Block:
-    nonce, digest = first_nonce(lambda n: block_hash(prev_hash, events, n, miner), difficulty)
+def _build_on_tip(ledger: Ledger, events: tuple, event_bytes: bytes, miner: bytes) -> Block:
+    prev = ledger.chain[-1]
+    return _build_block(prev.height + 1, prev.hash, events, event_bytes, miner,
+                        ledger.mining_difficulty)
+
+
+def _build_block(height: int, prev_hash: bytes, events: tuple, event_bytes: bytes,
+                 miner: bytes, difficulty: int) -> Block:
+    nonce, digest = first_nonce(
+        lambda n: block_hash(prev_hash, event_bytes, n, miner), difficulty
+    )
     return Block(height, prev_hash, events, nonce, miner, digest)
 
 
-def preview_block(ledger: Ledger, events, miner: bytes, difficulty: int | None = None) -> Block:
+def preview_block(ledger: Ledger, events, miner: bytes) -> Block:
     """Mine a candidate on top of the current tip without publishing it.
 
-    mine_block builds the block it appends through this function, so the
-    preview is exactly that block for the same inputs and a proposer can
-    inspect the hash first and choose to withhold.
+    mine_block builds the block it appends the same way, from the same
+    event bytes, so the preview is exactly that block for the same inputs
+    and a proposer can inspect the hash first and choose to withhold.
     """
-    if difficulty is None:
-        difficulty = ledger.mining_difficulty
-    prev = ledger.chain[-1]
-    return _build_block(prev.height + 1, prev.hash, tuple(events), miner, difficulty)
+    events = tuple(events)
+    return _build_on_tip(ledger, events, b"".join(map(event_wire_bytes, events)), miner)
 
 
-def mine_block(ledger: Ledger, miner: bytes, pending, difficulty: int | None = None) -> Block:
+def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
     """Validate, mine and append one block; applies transfer events in order.
 
+    Each event is encoded once, from its payload as it is now: the auth
+    tag is checked against those bytes and the block is hashed from them.
     The whole call is atomic: a bad auth tag or an inapplicable transfer
     rejects everything, leaving chain and balances untouched.
     """
@@ -324,9 +368,12 @@ def mine_block(ledger: Ledger, miner: bytes, pending, difficulty: int | None = N
     if ledger._last_mine_tick == ledger.clock:
         raise ProtocolError(f"a block was already mined at tick {ledger.clock}")
     events = tuple(pending)
+    wire = []
     for ev in events:
-        if not ledger.verify_event(ev):
+        body = ledger._authentic_body(ev)
+        if body is None:
             raise AuthTagError(f"event {ev.kind} from {ev.sender.hex()[:16]}… fails auth")
+        wire.append(body + ev.auth_tag)
     applied: list[tuple[bytes, bytes, int]] = []
     try:
         for ev in events:
@@ -339,22 +386,27 @@ def mine_block(ledger: Ledger, miner: bytes, pending, difficulty: int | None = N
             ledger.debit(dst, amt)
             ledger.credit(src, amt)
         raise
-    block = preview_block(ledger, events, miner, difficulty)
+    block = _build_on_tip(ledger, events, b"".join(wire), miner)
     ledger.chain.append(block)
     ledger._last_mine_tick = ledger.clock
     return block
 
 
 def verify_chain(chain, difficulty: int | None = None) -> bool:
-    """True iff links, stored hashes and difficulty all check out."""
+    """True iff links, stored hashes and difficulty all check out.
+
+    Every block hash is recomputed from the events' payloads, so a payload
+    changed after mining is caught.
+    """
+    target = None if difficulty is None else pow_target(difficulty)
     prev_hash = GENESIS_PREV
     for i, block in enumerate(chain):
         if block.height != i or block.prev_hash != prev_hash:
             return False
-        recomputed = block_hash(block.prev_hash, block.events, block.nonce, block.miner)
-        if recomputed != block.hash:
+        event_bytes = b"".join(map(event_wire_bytes, block.events))
+        if block_hash(block.prev_hash, event_bytes, block.nonce, block.miner) != block.hash:
             return False
-        if difficulty is not None and digest_int(block.hash) >= difficulty:
+        if target is not None and not block.hash <= target:
             return False
         prev_hash = block.hash
     return True

@@ -34,6 +34,7 @@ host-only path, so the host has exactly zero privilege after deployment.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import randao
 from .chain import Ledger, PowProof, verify_pow
@@ -179,13 +180,19 @@ def compute_deposit(share_price: int, security_factor, player_balance: int) -> i
     larger term is the larger of the two floors. k = 1 is accepted here (the
     identity case used in tests); configs enforce the open interval (1, 2).
     """
+    k_num, k_den, price_floor = _deposit_terms(share_price, security_factor)
+    if share_price < 0 or player_balance < 0:
+        raise ProtocolError("share price and balance must be >= 0")
+    return max(player_balance * k_den // k_num, price_floor)
+
+
+@lru_cache(maxsize=64)
+def _deposit_terms(share_price: int, security_factor) -> tuple:
+    """(k numerator, k denominator, floor(s * 10^ln(k))): once per price and factor."""
     k = Fraction(security_factor)
     if not Fraction(1) <= k < Fraction(2):
         raise ConfigError(f"security factor must lie in [1, 2), got {k}")
-    if share_price < 0 or player_balance < 0:
-        raise ProtocolError("share price and balance must be >= 0")
-    price_term = share_price * 10.0 ** math.log(float(k))
-    return max(player_balance * k.denominator // k.numerator, math.floor(price_term))
+    return k.numerator, k.denominator, math.floor(share_price * 10.0 ** math.log(float(k)))
 
 
 def deploy(ledger: Ledger, host: bytes, config: LotteryConfig, now: int) -> LotteryState:

@@ -259,6 +259,14 @@ def test_bounded_pow_budget_exhaustion():
     assert proof is None and attempts == 50
 
 
+def test_bounded_pow_takes_any_difficulty():
+    # bounded_pow does not validate its target: 0 admits no digest, and
+    # anything above 2^256 admits every digest, so nonce 0 wins at once
+    assert bounded_pow(b"x" * 32, 0, 50) == (None, 50)
+    proof, attempts = bounded_pow(b"x" * 32, MAX_TARGET + 1, 50)
+    assert (proof.nonce, proof.difficulty, attempts) == (0, MAX_TARGET + 1, 1)
+
+
 def test_bounded_pow_matches_unbounded_solver():
     challenge = b"y" * 32
     difficulty = MAX_TARGET >> 4

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from delottery_sim import (
     AuthTagError,
@@ -19,6 +20,7 @@ from delottery_sim import (
     verify_chain,
     verify_pow,
 )
+from delottery_sim.chain import canonical_event_bytes, pow_target
 
 
 def fresh():
@@ -90,9 +92,15 @@ def test_bad_auth_tag_rejects_block():
     ledger, miner, alice, bob = fresh()
     ev = ledger.make_event("transfer", alice.address, {"to": bob.address.hex(), "amount": 1})
     forged = type(ev)(ev.kind, ev.sender, ev.timestamp, {**ev.payload, "amount": 2}, ev.auth_tag)
-    with pytest.raises(AuthTagError):
-        mine_block(ledger, miner.address, [forged])
-    assert len(ledger.chain) == 1
+    # a payload changed in place after emit: mine_block encodes it as it is now
+    changed = ledger.emit("transfer", alice.address, {"to": bob.address.hex(), "amount": 1})
+    changed.payload["amount"] = 2
+    for bad in (forged, changed):
+        with pytest.raises(AuthTagError):
+            mine_block(ledger, miner.address, [bad])
+        assert len(ledger.chain) == 1
+        assert ledger.balance_of(alice.address) == 1000
+        assert ledger.balance_of(bob.address) == 500
 
 
 def test_one_block_per_tick():
@@ -127,6 +135,18 @@ def test_pow_solve_and_verify():
     assert digest_int(H(b"challenge" + proof.nonce.to_bytes(8, "little"))) < 1 << 248
     wrong = type(proof)(b"other", proof.nonce, proof.difficulty)
     assert not verify_pow(wrong)
+
+
+@pytest.mark.parametrize(
+    "difficulty", [1, (1 << 244) - 1, 1 << 244, (1 << 244) + 1, MAX_TARGET]
+)
+def test_target_bytes_match_integer_predicate(difficulty):
+    edges = {0, difficulty - 2, difficulty - 1, difficulty, difficulty + 1, MAX_TARGET - 1}
+    digests = [v.to_bytes(32, "big") for v in edges if 0 <= v < MAX_TARGET]
+    digests += [H(bytes([i])) for i in range(64)]
+    target = pow_target(difficulty)
+    for digest in digests:
+        assert (digest <= target) == (digest_int(digest) < difficulty)
 
 
 def test_verify_chain_detects_tampering():
@@ -179,3 +199,66 @@ def test_transfer_requires_known_destination():
     ledger, _, alice, _ = fresh()
     with pytest.raises(UnknownAddress):
         transfer(ledger, alice.address, b"\x11" * 32, 1)
+
+
+# --- the event encoder against a frozen copy of its first version --------
+
+
+def _reference_render(value) -> str:
+    if isinstance(value, bool):
+        raise ValueError("bool payload values are ambiguous; use 0/1")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, str):
+        if "|" in value or "=" in value:
+            raise ValueError("string payload values may not contain '|' or '='")
+        return value
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(int(v)) for v in value)
+    raise ValueError(f"unsupported payload value type {type(value)!r}")
+
+
+def _reference_encoding(kind, sender, timestamp, payload) -> bytes:
+    parts = [kind, sender.hex(), str(timestamp)]
+    for key in sorted(payload):
+        parts.append(f"{key}={_reference_render(payload[key])}")
+    return "|".join(parts).encode()
+
+
+def _outcome(encode, *args):
+    try:
+        return encode(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+_int_lists = st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=4)
+_payload_values = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.binary(max_size=40),
+    st.text(alphabet="ab|=c", max_size=6),
+    _int_lists,
+    _int_lists.map(tuple),
+    st.lists(st.booleans(), max_size=3),
+    st.floats(allow_nan=False),
+)
+
+
+@example("commit", b"\x01" * 32, 0, {"v": 1, "w": True})
+@example("commit", b"\x01" * 32, 0, {"v": 1, "w": "a|b"})
+@example("commit", b"\x01" * 32, 0, {"v": 1, "w": "a=b"})
+@example("commit", b"\x01" * 32, 0, {"v": 1, "w": 1.5})
+@given(
+    kind=st.sampled_from(["transfer", "commit", "draw"]),
+    sender=st.binary(min_size=32, max_size=32),
+    timestamp=st.integers(min_value=0, max_value=2**40),
+    payload=st.dictionaries(st.text(alphabet="abcxyz_", min_size=1, max_size=8), _payload_values),
+)
+def test_encoder_matches_reference(kind, sender, timestamp, payload):
+    args = (kind, sender, timestamp, payload)
+    assert _outcome(canonical_event_bytes, *args) == _outcome(_reference_encoding, *args)
+

@@ -21,3 +21,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name == "adversarial_ledger.py":
+        # verification passes on the mined chain and catches the later tamper
+        assert "verify_chain: True" in proc.stdout
+        assert "verify_chain = False" in proc.stdout
