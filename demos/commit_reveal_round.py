@@ -25,8 +25,9 @@ alice = create_account(ledger, b"alice", 10_000)
 bob = create_account(ledger, b"bob", 10_000)
 carol = create_account(ledger, b"carol", 10_000)
 
-# commit window: ticks 0..5 inclusive; reveal window: ticks 6..10
-rnd = open_round(ledger, now=0, commit_window=5, reveal_window=5)
+# every window is read off the ledger clock, which starts at tick 0:
+# commit window ticks 0..5 inclusive, reveal window ticks 6..10
+rnd = open_round(ledger, commit_window=5, reveal_window=5)
 print(f"round {rnd.round_id}: commit through tick {rnd.commit_deadline}, "
       f"reveal through tick {rnd.reveal_deadline}")
 
@@ -34,18 +35,22 @@ print(f"round {rnd.round_id}: commit through tick {rnd.commit_deadline}, "
 # itself stays secret until the reveal window
 secrets = {alice.address: 414141, bob.address: -7, carol.address: 2**40}
 for acct, deposit in ((alice, 500), (bob, 750), (carol, 300)):
-    commit(ledger, rnd, acct.address, commit_hash_for(secrets[acct.address]), deposit, now=1)
+    commit(ledger, rnd, acct.address, commit_hash_for(secrets[acct.address]), deposit)
     print(f"  commit from {acct.address.hex()[:12]}..., deposit {deposit}, "
           f"balance now {ledger.balance_of(acct.address)}")
 
 # alice and bob reveal inside the window; carol never shows up
-reveal(ledger, rnd, alice.address, secrets[alice.address], now=6)
-reveal(ledger, rnd, bob.address, secrets[bob.address], now=7)
+while ledger.clock <= rnd.commit_deadline:
+    ledger.advance_clock()
+reveal(ledger, rnd, alice.address, secrets[alice.address])
+reveal(ledger, rnd, bob.address, secrets[bob.address])
+while ledger.clock <= rnd.reveal_deadline:
+    ledger.advance_clock()
 
 # finalize after the reveal deadline: revealers are refunded, carol's
 # deposit is forfeited and left in the round's escrow bucket for the
 # caller (here: nobody) to route
-output, refunds, forfeited = finalize(ledger, rnd, now=11)
+output, refunds, forfeited = finalize(ledger, rnd)
 print(f"\noutput     {output.hex()}")
 print(f"refunds    { {a.hex()[:12]: v for a, v in refunds.items()} }")
 print(f"forfeited  {forfeited} (carol's deposit)")

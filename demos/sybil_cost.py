@@ -26,7 +26,7 @@ def admission_cost(difficulty_bits: int, policy: str, fakes: int = 200) -> tuple
     ledger = Ledger()
     cfg = LotteryConfig(pow_difficulty=1 << difficulty_bits)
     host = create_account(ledger, b"host", 10**9).address
-    state = deploy(ledger, host, cfg, now=0)
+    state = deploy(ledger, host, cfg)
     controller = create_account(ledger, b"controller", 0).address
     attacker = SybilAttacker(controller, fakes, budget=10**9)
     spawned = sybil_spawn(ledger, attacker, fakes)

@@ -187,7 +187,7 @@ def run_naive_mode_round(
         del ledger.chain[height:]
         ledger.clock, ledger._last_mine_tick = clock, last_mine_tick
         raise ProtocolError("withholding never found a favorable draw")
-    lottery.draw(state, ledger.clock, seed=block.hash)
+    lottery.draw(state, seed=block.hash)
     return _outcome(state, attacker, withheld)
 
 
@@ -214,7 +214,7 @@ def run_commit_reveal_mode_round(
             winners_if = lambda event: fixed_w
             cap = attacker.futility_cap
     _, withheld = _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap)
-    lottery.draw(state, state.ledger.clock)
+    lottery.draw(state)
     return _outcome(state, attacker, withheld)
 
 
@@ -291,7 +291,7 @@ def sybil_admission_trial(
             else set()
         )
         try:
-            lottery.add_player(state, fake, proof, votes, state.ledger.clock)
+            lottery.add_player(state, fake, proof, votes)
         except AdmissionRejected:
             continue
         admitted += 1

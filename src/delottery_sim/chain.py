@@ -16,7 +16,8 @@ contract at simulation grade.
 Byte layouts (nonces are 8-byte little-endian, as `hashing.le8`):
 
 - event body: `canonical_event_bytes`, "kind|sender_hex|timestamp|k=v|..."
-  with payload keys sorted; an event's wire bytes are body || auth_tag.
+  with payload keys sorted (no key or string value may contain "|" or
+  "="); an event's wire bytes are body || auth_tag.
 - block hash: H(prev_hash || concat(event wire bytes) || le8(nonce) || miner).
 - proof-of-work attempt: H(challenge || le8(nonce)).
 
@@ -112,6 +113,8 @@ def canonical_event_bytes(kind: str, sender: bytes, timestamp: int, payload: dic
     """Deterministic byte encoding of an event body (the bytes that get tagged)."""
     parts = [kind, sender.hex(), str(timestamp)]
     for key in sorted(payload):
+        if "|" in key or "=" in key:
+            raise ValueError("payload keys may not contain '|' or '='")
         parts.append(f"{key}={_render_value(payload[key])}")
     return "|".join(parts).encode()
 

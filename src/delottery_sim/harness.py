@@ -113,7 +113,7 @@ def _each_player(entries, verb: str, op, r: int, rejections: list) -> dict:
 
 def _upload(state: LotteryState, entry: _Entry, seed: int, r: int) -> int:
     key = Stream(seed, r, b"key/" + entry.name.encode()).next_i64()
-    upload_key(state, entry.address, key, state.ledger.clock)
+    upload_key(state, entry.address, key)
     return key
 
 
@@ -124,7 +124,7 @@ def _bet(state: LotteryState, entry: _Entry, seed: int, r: int) -> list:
     else:
         stream = Stream(seed, r, b"guess/" + entry.name.encode())
         guesses = [stream.below(state.config.guess_space_size) for _ in range(spec.shares)]
-    buy_shares(state, entry.address, guesses, state.ledger.clock)
+    buy_shares(state, entry.address, guesses)
     return guesses
 
 
@@ -173,10 +173,10 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
     withhold_count = 0
 
     for r in range(sc.rounds):
-        state = deploy(ledger, roster[0].address, cfg, ledger.clock)
+        state = deploy(ledger, roster[0].address, cfg)
         for entry in roster[1:]:
             proof = solve_pow(admission_challenge(state, entry.address), cfg.pow_difficulty)
-            add_player(state, entry.address, proof, set(state.active_certifiers), ledger.clock)
+            add_player(state, entry.address, proof, set(state.active_certifiers))
         if sybil_attacker is not None:
             n = sybil_attacker.fake_count
             fakes = sybil_spawn(ledger, sybil_attacker, n, start_salt=r * n)
@@ -190,22 +190,22 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
                     sybil["admitted_identities"][fake.hex()] = sybil["controller"]
         _tick_through(ledger, miner, ledger.clock)
 
-        begin_key_upload(state, ledger.clock)
+        begin_key_upload(state)
         keys = {}
         if sc.rng_mode == MODE_COMMIT_REVEAL:
             upload = lambda e: _upload(state, e, seed, r)
             keys = _each_player(roster, "upload", upload, r, rejections)
         _tick_through(ledger, miner, state.round.commit_deadline)
 
-        begin_betting(state, ledger.clock)
+        begin_betting(state)
         bets = _each_player(roster, "bet", lambda e: _bet(state, e, seed, r), r, rejections)
         if node_attacker is not None:
             node_attacker.guesses = bets.get(roster[-1].address, [])
         _tick_through(ledger, miner, state.betting_close)
 
-        enter_buffer(state, ledger.clock)
+        enter_buffer(state)
         revealers = [e for e in roster if e.spec.reveals and e.address in keys]
-        reveal = lambda e: reveal_key(state, e.address, keys[e.address], ledger.clock)
+        reveal = lambda e: reveal_key(state, e.address, keys[e.address])
         _each_player(revealers, "reveal", reveal, r, rejections)
         _tick_through(ledger, miner, state.round.reveal_deadline)
 

@@ -13,11 +13,13 @@ Buffer is the reveal window. The draw folds the revealed values of
 non-banned players into a 32-byte seed and derives the winning set W from
 it; settlement splits the prize pool over winning shares.
 
-Timing: the key-upload and betting windows are each `bet_duration` ticks
-long and the buffer is `buffer_duration` ticks. The underlying randomness
-round is opened with its reveal deadline at the end of the buffer, and
-reveals are additionally gated to the Buffer phase so nobody can reveal
-while bets are still open.
+Timing: every window and deadline reads `ledger.clock`, the clock that
+also stamps each event; no caller can pass a time of its own. The
+key-upload and betting windows are each `bet_duration` ticks long and the
+buffer is `buffer_duration` ticks. The underlying randomness round is
+opened with its reveal deadline at the end of the buffer, and reveals are
+additionally gated to the Buffer phase so nobody can reveal while bets are
+still open.
 
 Two prize-pool accountings are supported. "consistent" (default) refunds
 honest revealers' deposits at the draw and pays winners from forfeitures
@@ -99,13 +101,10 @@ class PlayerRecord:
     address: bytes
     guesses: list = field(default_factory=list)
     deposit: int = 0
-    auth: bool = False
-    joined_at: int = 0
     joined_seq: int = 0
     banned: bool = False
     stake_paid: int = 0
     fees_paid: int = 0
-    revealed: bool = False
     deposit_refunded: int = 0
     deposit_forfeited: int = 0
     payout: int = 0
@@ -114,12 +113,11 @@ class PlayerRecord:
 class LotteryState:
     """All mutable state of one lottery event, bound to a ledger."""
 
-    def __init__(self, ledger: Ledger, host: bytes, config: LotteryConfig, now: int):
+    def __init__(self, ledger: Ledger, host: bytes, config: LotteryConfig):
         self.ledger = ledger
         self.config = config
         self.host = host  # audit only; grants no capability
         self.instance_id = ledger.next_lottery_id()
-        self.deployed_at = now
         self.phase = DEPLOYED
         self.phase_history = [DEPLOYED]
         self.players: dict[bytes, PlayerRecord] = {}
@@ -129,7 +127,6 @@ class LotteryState:
         self.betting_close: int | None = None
         self.winners: set[int] | None = None
         self.no_entropy = False
-        self.held_deposits: dict[bytes, int] = {}
         self.pool_at_settle = 0
         self.winning_share_total = 0
         self._join_seq = 0
@@ -195,16 +192,14 @@ def _deposit_terms(share_price: int, security_factor) -> tuple:
     return k.numerator, k.denominator, math.floor(share_price * 10.0 ** math.log(float(k)))
 
 
-def deploy(ledger: Ledger, host: bytes, config: LotteryConfig, now: int) -> LotteryState:
+def deploy(ledger: Ledger, host: bytes, config: LotteryConfig) -> LotteryState:
     """Start a lottery event; the host becomes an ordinary enrolled player."""
     config.validate()
     if ledger.account(host).is_transaction_node:
         raise ProtocolError("transaction nodes cannot play")
-    state = LotteryState(ledger, host, config, now)
+    state = LotteryState(ledger, host, config)
     state._advance(ENROLLING)
-    state.players[host] = PlayerRecord(
-        host, auth=True, joined_at=now, joined_seq=state._join_seq
-    )
+    state.players[host] = PlayerRecord(host, joined_seq=state._join_seq)
     state._join_seq += 1
     state.active_certifiers.append(host)
     return state
@@ -220,13 +215,13 @@ def add_player(
     candidate: bytes,
     pow_proof: PowProof,
     cert_votes: set,
-    now: int,
 ) -> None:
     """Admit a candidate: valid PoW plus a vote from every active certifier.
 
     When the certifier set is at capacity, the admitted candidate replaces
-    the member with the latest join time (or the earliest, under the
-    alternate "oldest" rotation).
+    the member that joined last (or first, under the alternate "oldest"
+    rotation). The ledger clock never runs back, so join order is join time
+    with ties broken by sequence.
     """
     state._require(ENROLLING)
     if state.ledger.account(candidate).is_transaction_node:
@@ -251,14 +246,12 @@ def add_player(
         state.ledger.emit(
             "certify", voter, {"instance": state.instance_id, "candidate": candidate}
         )
-    record = PlayerRecord(
-        candidate, auth=True, joined_at=now, joined_seq=state._join_seq
-    )
+    record = PlayerRecord(candidate, joined_seq=state._join_seq)
     state._join_seq += 1
     state.players[candidate] = record
     certs = state.active_certifiers
     if len(certs) == state.config.cert_cap:
-        key = lambda a: (state.players[a].joined_at, state.players[a].joined_seq)
+        key = lambda a: state.players[a].joined_seq
         evict = (
             max(certs, key=key)
             if state.config.cert_eviction == EVICT_RECENT
@@ -282,7 +275,7 @@ def ban_player(state: LotteryState, player: bytes) -> None:
         state.active_certifiers.remove(player)
 
 
-def begin_key_upload(state: LotteryState, now: int) -> None:
+def begin_key_upload(state: LotteryState) -> None:
     """Open the randomness round; commits close after bet_duration ticks."""
     state._require(ENROLLING)
     state._advance(KEY_UPLOAD)
@@ -290,12 +283,12 @@ def begin_key_upload(state: LotteryState, now: int) -> None:
     # reveal deadline lands at the end of the buffer; lottery-level gating
     # keeps actual reveals inside the Buffer phase
     state.round = randao.open_round(
-        state.ledger, now, cfg.bet_duration, cfg.bet_duration + cfg.buffer_duration
+        state.ledger, cfg.bet_duration, cfg.bet_duration + cfg.buffer_duration
     )
     state.betting_close = state.round.commit_deadline + cfg.bet_duration
 
 
-def upload_key(state: LotteryState, player: bytes, key: int, now: int) -> int:
+def upload_key(state: LotteryState, player: bytes, key: int) -> int:
     """Commit to a secret key and escrow the balance-scaled deposit d_i."""
     state._require(KEY_UPLOAD)
     record = state.players.get(player)
@@ -306,20 +299,20 @@ def upload_key(state: LotteryState, player: bytes, key: int, now: int) -> int:
         cfg.share_price, cfg.security_factor, state.ledger.balance_of(player)
     )
     randao.commit(
-        state.ledger, state.round, player, randao.commit_hash_for(key), deposit, now
+        state.ledger, state.round, player, randao.commit_hash_for(key), deposit
     )
     record.deposit = deposit
     return deposit
 
 
-def begin_betting(state: LotteryState, now: int) -> None:
+def begin_betting(state: LotteryState) -> None:
     state._require(KEY_UPLOAD)
-    if now <= state.round.commit_deadline:
+    if state.ledger.clock <= state.round.commit_deadline:
         raise PhaseError("key-upload window still open")
     state._advance(BETTING)
 
 
-def buy_shares(state: LotteryState, player: bytes, guesses, now: int) -> None:
+def buy_shares(state: LotteryState, player: bytes, guesses) -> None:
     """Buy len(guesses) shares; price plus fee per share, atomically."""
     state._require(BETTING)
     record = state.players.get(player)
@@ -329,7 +322,7 @@ def buy_shares(state: LotteryState, player: bytes, guesses, now: int) -> None:
     for g in guesses:
         if not 0 <= g < state.config.guess_space_size:
             raise ProtocolError(f"guess {g} outside [0, {state.config.guess_space_size})")
-    if now > state.betting_close:
+    if state.ledger.clock > state.betting_close:
         raise PhaseError(f"betting closed after tick {state.betting_close}")
     m = len(guesses)
     if m == 0:
@@ -352,21 +345,20 @@ def buy_shares(state: LotteryState, player: bytes, guesses, now: int) -> None:
     )
 
 
-def enter_buffer(state: LotteryState, now: int) -> None:
+def enter_buffer(state: LotteryState) -> None:
     """Close betting; the buffer doubles as the reveal window."""
     state._require(BETTING)
-    if now <= state.betting_close:
+    if state.ledger.clock <= state.betting_close:
         raise PhaseError(f"betting stays open through tick {state.betting_close}")
     state._advance(BUFFER)
 
 
-def reveal_key(state: LotteryState, player: bytes, key: int, now: int) -> None:
+def reveal_key(state: LotteryState, player: bytes, key: int) -> None:
     state._require(BUFFER)
     record = state.players.get(player)
     if record is None or record.banned:
         raise ProtocolError("player not enrolled or banned")
-    randao.reveal(state.ledger, state.round, player, key, now)
-    record.revealed = True
+    randao.reveal(state.ledger, state.round, player, key)
 
 
 def derive_winners(seed: bytes, count: int, space: int) -> set:
@@ -393,7 +385,7 @@ def _mirror_refunds(state: LotteryState) -> None:
             record.deposit_refunded = commitment.deposit
 
 
-def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None:
+def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
     """Finalize randomness and fix the winning set W.
 
     With `seed` given (naive block-hash mode) the commit-reveal round is
@@ -404,7 +396,7 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
     absent) so settlement can run the full-refund path.
     """
     state._require(BUFFER)
-    if now <= state.round.reveal_deadline:
+    if state.ledger.clock <= state.round.reveal_deadline:
         raise PhaseError(f"buffer runs until tick {state.round.reveal_deadline}")
     ledger = state.ledger
     if seed is not None:
@@ -420,7 +412,6 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
         output, refunds, forfeited = randao.finalize(
             ledger,
             state.round,
-            now,
             excluded=frozenset(state.banned),
             apply_refunds=refund_now,
         )
@@ -441,8 +432,6 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
             record.deposit_forfeited = commitment.deposit
     if forfeited:
         ledger.escrow_move(state.round.bucket, state.phi_bucket, forfeited)
-    if not refund_now:
-        state.held_deposits = dict(refunds)
     state.winners = derive_winners(
         output, state.config.winning_draws, state.config.guess_space_size
     )
@@ -451,16 +440,22 @@ def draw(state: LotteryState, now: int, seed: bytes | None = None) -> set | None
 
 
 def _pool_funds(state: LotteryState) -> tuple:
-    """(bucket, amount) of the pool money beside phi: the held deposits of
-    non-banned revealers (literal) or the stakes (consistent)."""
-    if state.config.pool_mode == POOL_LITERAL:
-        held = sum(d for a, d in state.held_deposits.items() if a not in state.banned)
-        return state.round.bucket, held
-    return state.stake_bucket, state.stake_pool
+    """(bucket, amount) of the pool money beside phi: the round bucket
+    (literal) or the stakes (consistent).
+
+    After a literal-mode draw the round bucket holds exactly the deposits
+    of non-banned revealers: every other deposit was forfeited into phi.
+    """
+    literal = state.config.pool_mode == POOL_LITERAL
+    bucket = state.round.bucket if literal else state.stake_bucket
+    return bucket, state.ledger.escrow.get(bucket, 0)
 
 
 def compute_prize_pool(state: LotteryState) -> int:
-    """Pool r: phi plus held deposits (literal) or phi plus stakes (consistent)."""
+    """Pool r: phi plus held deposits (literal) or phi plus stakes (consistent).
+
+    Read off the escrow buckets, so after settlement it is what remains.
+    """
     if state.phase not in (DRAWN, SETTLED):
         raise PhaseError("prize pool is defined once the draw has happened")
     return state.phi + _pool_funds(state)[1]
@@ -496,7 +491,6 @@ def settle(state: LotteryState) -> dict:
     total_winning = sum(counts.values())
     state.winning_share_total = total_winning
     payouts: dict[bytes, int] = {}
-    literal = state.config.pool_mode == POOL_LITERAL
     if total_winning > 0:
         pool_bucket = f"pool:{state.instance_id}"
         if state.phi:
@@ -517,14 +511,10 @@ def settle(state: LotteryState) -> dict:
     else:
         if state.phi:
             ledger.escrow_to_sink(state.phi_bucket, state.phi)
-        if not literal:
+        if state.config.pool_mode == POOL_CONSISTENT:
             _refund_stakes(state)
-    if literal:
-        # deposits still in the round bucket go to the sink: the held ones
-        # when nobody won, and banned revealers', which never became refundable
-        leftover = ledger.escrow.get(state.round.bucket, 0)
-        if leftover:
-            ledger.escrow_to_sink(state.round.bucket, leftover)
+        elif funds:  # nobody won: the held deposits go to the sink
+            ledger.escrow_to_sink(funds_bucket, funds)
     state._advance(SETTLED)
     return payouts
 

@@ -1,6 +1,6 @@
 """Commit-reveal randomness rounds with deposits.
 
-A round runs in two clock windows. During the commit window a player
+A round runs in two windows of the ledger clock. During the commit window a player
 escrows a deposit alongside H(encode(s)) for a secret signed 64-bit value
 s. During the reveal window the player discloses s; the round checks the
 hash binding. At finalization every valid revealer gets its deposit back,
@@ -18,7 +18,9 @@ little-endian two's complement.
 Transaction nodes are barred from committing: block producers must never
 hold a stake in the entropy they order into blocks.
 
-Window boundaries are inclusive of the deadline tick. A round that
+Every window is checked against `ledger.clock`, the clock that also
+stamps each event; no caller can pass a time of its own. Window
+boundaries are inclusive of the deadline tick. A round that
 finalizes with zero valid reveals aborts instead of drawing from nothing:
 every deposit (even an excluded committer's) is returned and NoEntropy is
 raised after the refunds are applied.
@@ -30,8 +32,7 @@ from .chain import Ledger
 from .errors import BindingViolation, NoEntropy, ProtocolError, WindowError
 from .hashing import H, encode_i64, le8
 
-COMMITTING = "Committing"
-REVEALING = "Revealing"
+OPEN = "Open"
 FINALIZED = "Finalized"
 
 
@@ -40,7 +41,6 @@ class Commitment:
     committer: bytes
     commit_hash: bytes
     deposit: int
-    committed_at: int
 
 
 @dataclass(slots=True)
@@ -56,17 +56,12 @@ class RngRound:
     reveal_deadline: int
     commitments: dict = field(default_factory=dict)
     reveals: dict = field(default_factory=dict)
-    state: str = COMMITTING
+    state: str = OPEN
     output: bytes | None = None
-    forfeited: int = 0
 
     @property
     def bucket(self) -> str:
         return f"rng:{self.round_id}"
-
-    def advance(self, now: int) -> None:
-        if self.state != FINALIZED:
-            self.state = COMMITTING if now <= self.commit_deadline else REVEALING
 
 
 def commit_hash_for(value: int) -> bytes:
@@ -74,10 +69,11 @@ def commit_hash_for(value: int) -> bytes:
     return H(encode_i64(value))
 
 
-def open_round(ledger: Ledger, now: int, commit_window: int, reveal_window: int) -> RngRound:
+def open_round(ledger: Ledger, commit_window: int, reveal_window: int) -> RngRound:
+    """A round whose commit window closes `commit_window` ticks after `ledger.clock`."""
     if commit_window < 1 or reveal_window < 1:
         raise WindowError("commit and reveal windows must each be >= 1 tick")
-    commit_deadline = now + commit_window
+    commit_deadline = ledger.clock + commit_window
     return RngRound(
         round_id=ledger.next_round_id(),
         commit_deadline=commit_deadline,
@@ -91,13 +87,11 @@ def commit(
     player: bytes,
     commit_hash: bytes,
     deposit: int,
-    now: int,
 ) -> Commitment:
     """Escrow a deposit with a hash commitment, inside the commit window."""
-    rnd.advance(now)
     if rnd.state == FINALIZED:
         raise ProtocolError("round already finalized")
-    if now > rnd.commit_deadline:
+    if ledger.clock > rnd.commit_deadline:
         raise WindowError(f"commit window closed at tick {rnd.commit_deadline}")
     if ledger.account(player).is_transaction_node:
         raise ProtocolError("transaction node addresses are barred from committing")
@@ -106,7 +100,7 @@ def commit(
     if deposit <= 0:
         raise ProtocolError("deposit must be positive")
     ledger.to_escrow(player, rnd.bucket, deposit)
-    c = Commitment(player, commit_hash, deposit, now)
+    c = Commitment(player, commit_hash, deposit)
     rnd.commitments[player] = c
     ledger.emit(
         "commit",
@@ -116,12 +110,11 @@ def commit(
     return c
 
 
-def reveal(ledger: Ledger, rnd: RngRound, player: bytes, value: int, now: int) -> Reveal:
+def reveal(ledger: Ledger, rnd: RngRound, player: bytes, value: int) -> Reveal:
     """Disclose the committed value; a hash mismatch is a BindingViolation."""
-    rnd.advance(now)
     if rnd.state == FINALIZED:
         raise ProtocolError("round already finalized")
-    if not rnd.commit_deadline < now <= rnd.reveal_deadline:
+    if not rnd.commit_deadline < ledger.clock <= rnd.reveal_deadline:
         raise WindowError(
             f"reveal window is ticks ({rnd.commit_deadline}, {rnd.reveal_deadline}]"
         )
@@ -164,13 +157,11 @@ def refund_all(ledger: Ledger, rnd: RngRound) -> None:
         ledger.from_escrow(rnd.bucket, addr, rnd.commitments[addr].deposit)
     rnd.state = FINALIZED
     rnd.output = None
-    rnd.forfeited = 0
 
 
 def finalize(
     ledger: Ledger,
     rnd: RngRound,
-    now: int,
     excluded: frozenset = frozenset(),
     apply_refunds: bool = True,
 ):
@@ -186,7 +177,7 @@ def finalize(
     """
     if rnd.state == FINALIZED:
         raise ProtocolError("round already finalized")
-    if now <= rnd.reveal_deadline:
+    if ledger.clock <= rnd.reveal_deadline:
         raise WindowError(f"cannot finalize before tick {rnd.reveal_deadline + 1}")
     values = {a: r.value for a, r in rnd.reveals.items() if a not in excluded}
     if not values:
@@ -207,7 +198,6 @@ def finalize(
             forfeited += deposit
     rnd.state = FINALIZED
     rnd.output = output
-    rnd.forfeited = forfeited
     return output, refunds, forfeited
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ACCEPTANCE_VERDICTS
+from conftest import ACCEPTANCE_VERDICTS, tick_to
 
 from delottery_sim import (
     BindingViolation,
@@ -122,23 +122,24 @@ def test_criterion_2_fairness():
 
 def test_criterion_3_binding():
     ledger = Ledger()
-    rnd = open_round(ledger, 0, 5, 5)
+    rnd = open_round(ledger, 5, 5)
     stream = Stream(2024, 0, "binding")
     trials = 10_000
     committers = []
     for i in range(trials):
         acct = create_account(ledger, b"bind" + le8(i), 10)
         value = stream.next_i64()
-        commit(ledger, rnd, acct.address, commit_hash_for(value), 1, now=0)
+        commit(ledger, rnd, acct.address, commit_hash_for(value), 1)
         committers.append((acct.address, value))
+    tick_to(ledger, 6)
     rejected = accepted = 0
     for address, value in committers:
         wrong = value ^ (1 + stream.below(1 << 32))
         try:
-            reveal(ledger, rnd, address, wrong, now=6)
+            reveal(ledger, rnd, address, wrong)
         except BindingViolation:
             rejected += 1
-        reveal(ledger, rnd, address, value, now=6)
+        reveal(ledger, rnd, address, value)
         accepted += 1
     ok = rejected == trials and accepted == trials
     assert _verdict(
@@ -154,20 +155,24 @@ def test_criterion_4_forfeiture():
     )
     accounts = [create_account(ledger, f"f{i}".encode(), 10**13) for i in range(3)]
     addrs = [acct.address for acct in accounts]
-    state = deploy(ledger, addrs[0], cfg, now=0)
+    state = deploy(ledger, addrs[0], cfg)
     for addr in addrs[1:]:
         proof = solve_pow(admission_challenge(state, addr), cfg.pow_difficulty)
-        add_player(state, addr, proof, set(state.active_certifiers), now=0)
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
-    buy_shares(state, addrs[0], [0, 1, 2, 3], now=3)  # silent player covers the space
-    buy_shares(state, addrs[1], [0], now=3)
-    enter_buffer(state, now=4)
-    reveal_key(state, addrs[1], key=1, now=4)
-    reveal_key(state, addrs[2], key=2, now=4)
+        add_player(state, addr, proof, set(state.active_certifiers))
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
+    buy_shares(state, addrs[0], [0, 1, 2, 3])  # silent player covers the space
+    buy_shares(state, addrs[1], [0])
+    tick_to(ledger, 4)
+    enter_buffer(state)
+    reveal_key(state, addrs[1], key=1)
+    reveal_key(state, addrs[2], key=2)
     phi_before = state.phi
-    draw(state, now=5)
+    tick_to(ledger, 5)
+    draw(state)
     phi_gain = state.phi - phi_before
     silent = addrs[0]
     exact = phi_gain == deposits[silent] == state.players[silent].deposit_forfeited
@@ -284,7 +289,7 @@ def _sybil_spend(target: int, policy: str, trials: int) -> tuple:
     admitted_total = spent_total = 0
     batch = 100
     for i in range(trials // batch):
-        state = deploy(ledger, host, cfg, now=0)
+        state = deploy(ledger, host, cfg)
         fakes = sybil_spawn(ledger, attacker, batch, start_salt=i * batch)
         admitted, spent = sybil_admission_trial(state, fakes, policy, 10**9)
         admitted_total += admitted

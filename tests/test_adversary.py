@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import tick_to
 from delottery_sim import (
     CERT_HONEST_REFUSE,
     CERT_RUBBERSTAMP,
@@ -90,27 +91,24 @@ def drive_to_draw(mode, colluder_guesses, space=4, uploads=False):
     )
     accounts = [create_account(ledger, f"p{i}".encode(), 10**12) for i in range(2)]
     addrs = [acct.address for acct in accounts]
-    state = deploy(ledger, addrs[0], cfg, ledger.clock)
+    state = deploy(ledger, addrs[0], cfg)
     proof = solve_pow(admission_challenge(state, addrs[1]), cfg.pow_difficulty)
-    add_player(state, addrs[1], proof, set(state.active_certifiers), ledger.clock)
+    add_player(state, addrs[1], proof, set(state.active_certifiers))
     ledger.advance_clock()
-    begin_key_upload(state, ledger.clock)
+    begin_key_upload(state)
     if mode == "commit-reveal" or uploads:
         for i, a in enumerate(addrs):
-            upload_key(state, a, key=1000 + i, now=ledger.clock)
-    while ledger.clock <= state.round.commit_deadline:
-        ledger.advance_clock()
-    begin_betting(state, ledger.clock)
-    buy_shares(state, addrs[0], [0, 1], now=ledger.clock)
-    buy_shares(state, addrs[1], colluder_guesses, now=ledger.clock)
-    while ledger.clock <= state.betting_close:
-        ledger.advance_clock()
-    enter_buffer(state, ledger.clock)
+            upload_key(state, a, key=1000 + i)
+    tick_to(ledger, state.round.commit_deadline + 1)
+    begin_betting(state)
+    buy_shares(state, addrs[0], [0, 1])
+    buy_shares(state, addrs[1], colluder_guesses)
+    tick_to(ledger, state.betting_close + 1)
+    enter_buffer(state)
     if mode == "commit-reveal":
         for i, a in enumerate(addrs):
-            reveal_key(state, a, key=1000 + i, now=ledger.clock)
-    while ledger.clock <= state.round.reveal_deadline:
-        ledger.advance_clock()
+            reveal_key(state, a, key=1000 + i)
+    tick_to(ledger, state.round.reveal_deadline + 1)
     return ledger, state, miner, atk_node, addrs
 
 
@@ -231,7 +229,7 @@ def sybil_fixture(policy, difficulty, budget, fake_count=6):
     ledger = Ledger()
     cfg = LotteryConfig(pow_difficulty=difficulty)
     host = create_account(ledger, b"host", 10**9).address
-    state = deploy(ledger, host, cfg, now=0)
+    state = deploy(ledger, host, cfg)
     controller = create_account(ledger, b"controller", 0).address
     attacker = SybilAttacker(controller, fake_count, budget)
     fakes = sybil_spawn(ledger, attacker, fake_count)

@@ -72,6 +72,27 @@ def test_canonical_payload_is_key_order_independent():
     assert a.auth_tag == b.auth_tag
 
 
+def test_payload_keys_cannot_collide_with_separators():
+    # unchecked, {"a": 1, "b": 2} and {"a=1|b": 2} would encode alike and share a tag
+    sender = b"\x01" * 32
+    assert canonical_event_bytes("commit", sender, 0, {"a": 1, "b": 2}).endswith(b"|a=1|b=2")
+    for key in ("a=1|b", "a|b", "a=b", "|", "="):
+        with pytest.raises(ValueError, match="payload keys"):
+            canonical_event_bytes("commit", sender, 0, {key: 2})
+
+
+def test_swapped_colliding_payload_is_not_mined():
+    ledger, miner, alice, _ = fresh()
+    with pytest.raises(ValueError):
+        ledger.emit("commit", alice.address, {"a=1|b": 2})
+    assert ledger.pending == []
+    ev = ledger.emit("commit", alice.address, {"a": 1, "b": 2})
+    ev.payload = {"a=1|b": 2}  # same bytes as the tagged payload, were keys unchecked
+    with pytest.raises(ValueError):
+        mine_block(ledger, miner.address, [ev])
+    assert len(ledger.chain) == 1 and ledger._last_mine_tick == -1
+
+
 def test_mining_applies_transfers_and_clears_nothing_on_failure():
     ledger, miner, alice, bob = fresh()
     ok = ledger.emit("transfer", alice.address, {"to": bob.address.hex(), "amount": 100})
@@ -223,6 +244,8 @@ def _reference_render(value) -> str:
 def _reference_encoding(kind, sender, timestamp, payload) -> bytes:
     parts = [kind, sender.hex(), str(timestamp)]
     for key in sorted(payload):
+        if "|" in key or "=" in key:
+            raise ValueError("payload keys may not contain '|' or '='")
         parts.append(f"{key}={_reference_render(payload[key])}")
     return "|".join(parts).encode()
 
@@ -252,11 +275,13 @@ _payload_values = st.one_of(
 @example("commit", b"\x01" * 32, 0, {"v": 1, "w": "a|b"})
 @example("commit", b"\x01" * 32, 0, {"v": 1, "w": "a=b"})
 @example("commit", b"\x01" * 32, 0, {"v": 1, "w": 1.5})
+@example("commit", b"\x01" * 32, 0, {"a=1|b": 2})
+@example("commit", b"\x01" * 32, 0, {"a": "x|y", "b|": 1})
 @given(
     kind=st.sampled_from(["transfer", "commit", "draw"]),
     sender=st.binary(min_size=32, max_size=32),
     timestamp=st.integers(min_value=0, max_value=2**40),
-    payload=st.dictionaries(st.text(alphabet="abcxyz_", min_size=1, max_size=8), _payload_values),
+    payload=st.dictionaries(st.text(alphabet="abcxyz_|=", min_size=1, max_size=8), _payload_values),
 )
 def test_encoder_matches_reference(kind, sender, timestamp, payload):
     args = (kind, sender, timestamp, payload)

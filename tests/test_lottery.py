@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
+from conftest import tick_to
 from delottery_sim import (
     AdmissionRejected,
     ConfigError,
@@ -15,6 +17,7 @@ from delottery_sim import (
     PhaseError,
     POOL_LITERAL,
     ProtocolError,
+    WindowError,
     add_player,
     admission_challenge,
     ban_player,
@@ -39,18 +42,18 @@ from delottery_sim import (
 )
 
 
-def admit(state, ledger, addr, now=0, votes=None):
+def admit(state, addr, votes=None):
     proof = solve_pow(admission_challenge(state, addr), state.config.pow_difficulty)
-    add_player(state, addr, proof, votes or set(state.active_certifiers), now)
+    add_player(state, addr, proof, votes or set(state.active_certifiers))
 
 
 def fresh_lottery(n_players=3, balance=100_000_000, **cfg_kwargs):
     ledger = Ledger()
     cfg = LotteryConfig(**cfg_kwargs)
     accounts = [create_account(ledger, f"p{i}".encode(), balance) for i in range(n_players)]
-    state = deploy(ledger, accounts[0].address, cfg, now=0)
+    state = deploy(ledger, accounts[0].address, cfg)
     for acct in accounts[1:]:
-        admit(state, ledger, acct.address)
+        admit(state, acct.address)
     return ledger, state, accounts
 
 
@@ -114,7 +117,7 @@ def test_deploy_host_is_ordinary_player_and_certifier():
     assert state.active_certifiers == [host]
     node = create_account(ledger, b"node", 0, is_transaction_node=True)
     with pytest.raises(ProtocolError):
-        deploy(ledger, node.address, LotteryConfig(), now=0)
+        deploy(ledger, node.address, LotteryConfig())
 
 
 def test_admission_requires_valid_pow_and_unanimity():
@@ -124,17 +127,18 @@ def test_admission_requires_valid_pow_and_unanimity():
     good = solve_pow(admission_challenge(state, cand), state.config.pow_difficulty)
 
     wrong_challenge = solve_pow(H(b"other"), state.config.pow_difficulty)
+    tick_to(ledger, 1)
     with pytest.raises(AdmissionRejected):
-        add_player(state, cand, wrong_challenge, {host}, now=1)
+        add_player(state, cand, wrong_challenge, {host})
     with pytest.raises(AdmissionRejected):
-        add_player(state, cand, good, set(), now=1)  # missing the host's vote
-    add_player(state, cand, good, {host}, now=1)
+        add_player(state, cand, good, set())  # missing the host's vote
+    add_player(state, cand, good, {host})
     with pytest.raises(AdmissionRejected):
-        add_player(state, cand, good, {host, cand}, now=1)  # already enrolled
+        add_player(state, cand, good, {host, cand})  # already enrolled
 
     node = create_account(ledger, b"node2", 0, is_transaction_node=True)
     with pytest.raises(ProtocolError):
-        add_player(state, node.address, good, {host, cand}, now=1)
+        add_player(state, node.address, good, {host, cand})
 
 
 def test_admission_challenge_binds_instance_and_candidate():
@@ -147,11 +151,13 @@ def test_cert_cap_evicts_most_recent_member():
     ledger, state, accounts = fresh_lottery(1, cert_cap=2)
     a, b, c = (create_account(ledger, s, 10**8).address for s in (b"a", b"b", b"c"))
     host = accounts[0].address
-    admit(state, ledger, a, now=1)
+    tick_to(ledger, 1)
+    admit(state, a)
     assert state.active_certifiers == [host, a]
-    admit(state, ledger, b, now=2)  # cap hit: b replaces a (latest joiner)
+    tick_to(ledger, 2)
+    admit(state, b)  # cap hit: b replaces a (latest joiner)
     assert state.active_certifiers == [host, b]
-    admit(state, ledger, c, now=2)  # tie on join tick: sequence breaks it
+    admit(state, c)  # tie on join tick: sequence breaks it
     assert state.active_certifiers == [host, c]
 
 
@@ -160,8 +166,10 @@ def test_cert_cap_oldest_rotation():
     host = accounts[0].address
     a = create_account(ledger, b"a", 10**8).address
     b = create_account(ledger, b"b", 10**8).address
-    admit(state, ledger, a, now=1)
-    admit(state, ledger, b, now=2)  # host is the oldest member
+    tick_to(ledger, 1)
+    admit(state, a)
+    tick_to(ledger, 2)
+    admit(state, b)  # host is the oldest member
     assert state.active_certifiers == [b, a]
 
 
@@ -192,16 +200,20 @@ def run_full_round(pool_mode="consistent", skip_reveal=(), bettors=None, price=1
         pool_mode=pool_mode,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
     for a, guesses in (bettors or {addrs[0]: [0, 1], addrs[1]: [2], addrs[2]: [3]}).items():
-        buy_shares(state, a, guesses, now=3)
-    enter_buffer(state, now=4)
+        buy_shares(state, a, guesses)
+    tick_to(ledger, 4)
+    enter_buffer(state)
     for i, a in enumerate(addrs):
         if a not in skip_reveal:
-            reveal_key(state, a, key=i, now=4)
-    draw(state, now=5)
+            reveal_key(state, a, key=i)
+    tick_to(ledger, 5)
+    draw(state)
     payouts = settle(state)
     return ledger, state, addrs, deposits, payouts
 
@@ -246,13 +258,17 @@ def test_silent_committer_forfeits_exact_deposit():
         guess_space_size=4,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
-    buy_shares(state, addrs[0], [0, 1, 2, 3], now=3)
-    enter_buffer(state, now=4)
-    reveal_key(state, addrs[0], key=0, now=4)  # addrs[1], addrs[2] stay silent
-    draw(state, now=5)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
+    buy_shares(state, addrs[0], [0, 1, 2, 3])
+    tick_to(ledger, 4)
+    enter_buffer(state)
+    reveal_key(state, addrs[0], key=0)  # addrs[1], addrs[2] stay silent
+    tick_to(ledger, 5)
+    draw(state)
     lost = deposits[addrs[1]] + deposits[addrs[2]]
     assert state.players[addrs[1]].deposit_forfeited == deposits[addrs[1]]
     assert state.players[addrs[2]].deposit_forfeited == deposits[addrs[2]]
@@ -270,16 +286,20 @@ def test_banned_revealer_forfeits_and_scores_zero():
         guess_space_size=4,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
     for a in addrs:
-        buy_shares(state, a, [0, 1, 2, 3], now=3)  # everyone covers the space
-    enter_buffer(state, now=4)
+        buy_shares(state, a, [0, 1, 2, 3])  # everyone covers the space
+    tick_to(ledger, 4)
+    enter_buffer(state)
     for i, a in enumerate(addrs):
-        reveal_key(state, a, key=i, now=4)
+        reveal_key(state, a, key=i)
     ban_player(state, addrs[2])
-    draw(state, now=5)
+    tick_to(ledger, 5)
+    draw(state)
     cheat = state.players[addrs[2]]
     assert cheat.deposit_forfeited == deposits[addrs[2]]
     assert winning_share_count(state, addrs[2]) == 0
@@ -296,13 +316,17 @@ def test_no_winning_shares_refunds_stakes_consistent():
         guess_space_size=10,
     )
     host = accounts[0].address
-    begin_key_upload(state, now=1)
-    upload_key(state, host, key=5, now=1)
-    begin_betting(state, now=3)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    upload_key(state, host, key=5)
+    tick_to(ledger, 3)
+    begin_betting(state)
     # find a guess that loses for this seed by buying nothing yet
-    enter_buffer(state, now=4)
-    reveal_key(state, host, key=5, now=4)
-    draw(state, now=5)
+    tick_to(ledger, 4)
+    enter_buffer(state)
+    reveal_key(state, host, key=5)
+    tick_to(ledger, 5)
+    draw(state)
     payouts = settle(state)
     assert payouts == {}
     assert state.winning_share_total == 0
@@ -316,17 +340,26 @@ def test_no_winning_shares_literal_strands_stakes():
         guess_space_size=10, pool_mode=POOL_LITERAL,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
-    enter_buffer(state, now=4)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
+    tick_to(ledger, 4)
+    enter_buffer(state)
     for i, a in enumerate(addrs):
-        reveal_key(state, a, key=i, now=4)
-    draw(state, now=5)
+        reveal_key(state, a, key=i)
+    tick_to(ledger, 5)
+    draw(state)
     # literal mode holds deposits for the pool instead of refunding
-    assert state.held_deposits == deposits
+    assert ledger.escrow[state.round.bucket] == sum(deposits.values())
+    for a in addrs:
+        record = state.players[a]
+        assert (record.deposit_refunded, record.deposit_forfeited) == (0, 0)
+    assert compute_prize_pool(state) == sum(deposits.values())
     payouts = settle(state)
     assert payouts == {}
+    assert compute_prize_pool(state) == 0  # the held deposits went to the sink
     assert state.stranded == 0  # nobody staked, nothing to strand
     for a in addrs:
         # deposits were consumed by the pool and then sunk (no winners)
@@ -340,15 +373,19 @@ def test_literal_mode_strands_stakes_when_winners_exist():
         guess_space_size=2, pool_mode=POOL_LITERAL,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
     for a in addrs:
-        buy_shares(state, a, [0, 1], now=3)
-    enter_buffer(state, now=4)
+        buy_shares(state, a, [0, 1])
+    tick_to(ledger, 4)
+    enter_buffer(state)
     for i, a in enumerate(addrs):
-        reveal_key(state, a, key=i, now=4)
-    draw(state, now=5)
+        reveal_key(state, a, key=i)
+    tick_to(ledger, 5)
+    draw(state)
     payouts = settle(state)
     # pool excludes stakes entirely: it is the held deposits (phi empty here)
     assert state.pool_at_settle == sum(deposits.values())
@@ -363,13 +400,17 @@ def test_abort_refunds_all_deposits_and_stakes():
         guess_space_size=4,
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    deposits = {a: upload_key(state, a, key=i, now=1) for i, a in enumerate(addrs)}
-    begin_betting(state, now=3)
-    buy_shares(state, addrs[0], [0], now=3)
-    enter_buffer(state, now=4)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    deposits = {a: upload_key(state, a, key=i) for i, a in enumerate(addrs)}
+    tick_to(ledger, 3)
+    begin_betting(state)
+    buy_shares(state, addrs[0], [0])
+    tick_to(ledger, 4)
+    enter_buffer(state)
     # nobody reveals
-    result = draw(state, now=5)
+    tick_to(ledger, 5)
+    result = draw(state)
     assert result is None
     assert state.no_entropy and state.winners is None
     assert state.phase == "Drawn"  # abort still passes through the draw phase
@@ -390,15 +431,16 @@ def test_phase_order_is_strict():
     ledger, state, accounts = fresh_lottery(1)
     host = accounts[0].address
     with pytest.raises(PhaseError):
-        begin_betting(state, now=99)  # Enrolling cannot jump to Betting
+        begin_betting(state)  # Enrolling cannot jump to Betting
     with pytest.raises(PhaseError):
         settle(state)
-    begin_key_upload(state, now=1)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
     with pytest.raises(PhaseError):
-        begin_key_upload(state, now=1)  # no re-entry
+        begin_key_upload(state)  # no re-entry
     with pytest.raises(PhaseError):
         admit_any = solve_pow(admission_challenge(state, b"\x01" * 32), MAX_TARGET)
-        add_player(state, b"\x01" * 32, admit_any, {host}, now=1)
+        add_player(state, b"\x01" * 32, admit_any, {host})
     assert state.phase_history == ["Deployed", "Enrolling", "KeyUpload"]
     assert [PHASES.index(p) for p in state.phase_history] == [0, 1, 2]
 
@@ -408,25 +450,82 @@ def test_timing_gates():
         1, balance=10**14, bet_duration=2, buffer_duration=2
     )
     host = accounts[0].address
-    begin_key_upload(state, now=1)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
     # commit deadline = 3, betting close = 5, reveal deadline = 7
     assert state.round.commit_deadline == 3
     assert state.betting_close == 5
     assert state.round.reveal_deadline == 7
-    upload_key(state, host, key=1, now=3)  # at the deadline: allowed
+    tick_to(ledger, 3)
+    upload_key(state, host, key=1)  # at the deadline: allowed
     with pytest.raises(PhaseError):
-        begin_betting(state, now=3)  # window still open through tick 3
-    begin_betting(state, now=4)
-    buy_shares(state, host, [0], now=5)  # at betting close: allowed
+        begin_betting(state)  # window still open through tick 3
+    tick_to(ledger, 4)
+    begin_betting(state)
+    tick_to(ledger, 5)
+    buy_shares(state, host, [0])  # at betting close: allowed
     with pytest.raises(PhaseError):
-        buy_shares(state, host, [1], now=6)
+        enter_buffer(state)
+    tick_to(ledger, 6)
     with pytest.raises(PhaseError):
-        enter_buffer(state, now=5)
-    enter_buffer(state, now=6)
-    reveal_key(state, host, key=1, now=7)  # at reveal deadline: allowed
+        buy_shares(state, host, [1])
+    enter_buffer(state)
+    tick_to(ledger, 7)
+    reveal_key(state, host, key=1)  # at reveal deadline: allowed
     with pytest.raises(PhaseError):
-        draw(state, now=7)
-    draw(state, now=8)
+        draw(state)
+    tick_to(ledger, 8)
+    draw(state)
+
+
+def snapshot(state):
+    """Everything a refused call must leave exactly as it found it."""
+    ledger, rnd = state.ledger, state.round
+    return (
+        {a: acct.balance for a, acct in ledger.accounts.items()},
+        dict(ledger.escrow),
+        ledger.fee_sink,
+        list(ledger.pending),
+        dict(rnd.commitments),
+        dict(rnd.reveals),
+        rnd.state,
+        state.phase,
+        list(state.phase_history),
+        [astuple(record) for record in state.players.values()],
+    )
+
+
+def test_every_window_reads_the_ledger_clock():
+    ledger, state, accounts = fresh_lottery(3, balance=10**14)
+    a, b, c = (acct.address for acct in accounts)
+    begin_key_upload(state)  # at tick 0: commits close 2, bets 4, reveals 6
+    assert (state.round.commit_deadline, state.betting_close) == (2, 4)
+    assert state.round.reveal_deadline == 6
+
+    def refused(error, call):
+        before = snapshot(state)
+        with pytest.raises(error):
+            call()
+        assert snapshot(state) == before
+
+    tick_to(ledger, 2)
+    upload_key(state, a, key=1)
+    upload_key(state, b, key=2)
+    tick_to(ledger, 3)
+    refused(WindowError, lambda: upload_key(state, c, key=3))
+    begin_betting(state)
+    tick_to(ledger, 4)
+    buy_shares(state, a, [0])
+    tick_to(ledger, 5)
+    refused(PhaseError, lambda: buy_shares(state, b, [1]))
+    enter_buffer(state)
+    tick_to(ledger, 6)
+    reveal_key(state, a, key=1)
+    refused(PhaseError, lambda: draw(state))
+    tick_to(ledger, 50)  # long past the reveal deadline
+    refused(WindowError, lambda: reveal_key(state, b, key=2))
+    draw(state)
+    assert state.players[b].deposit_forfeited == state.players[b].deposit
 
 
 def test_buy_shares_guards():
@@ -434,35 +533,38 @@ def test_buy_shares_guards():
         2, balance=10**8, guess_space_size=4, bet_duration=1, buffer_duration=1
     )
     addrs = [acct.address for acct in accounts]
-    begin_key_upload(state, now=1)
-    begin_betting(state, now=3)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    tick_to(ledger, 3)
+    begin_betting(state)
     with pytest.raises(ProtocolError):
-        buy_shares(state, addrs[0], [4], now=3)  # out of the guess space
+        buy_shares(state, addrs[0], [4])  # out of the guess space
     with pytest.raises(ProtocolError):
-        buy_shares(state, addrs[0], [-1], now=3)
+        buy_shares(state, addrs[0], [-1])
     with pytest.raises(ProtocolError):
-        buy_shares(state, b"\x07" * 32, [0], now=3)  # not enrolled
+        buy_shares(state, b"\x07" * 32, [0])  # not enrolled
     with pytest.raises(ProtocolError):
-        buy_shares(state, addrs[0], [0] * 1000, now=3)  # cannot afford
+        buy_shares(state, addrs[0], [0] * 1000)  # cannot afford
     before = ledger.balance_of(addrs[0])
-    buy_shares(state, addrs[0], [], now=3)  # zero shares: a no-op
+    buy_shares(state, addrs[0], [])  # zero shares: a no-op
     assert ledger.balance_of(addrs[0]) == before
     ban_player(state, addrs[1])
     with pytest.raises(ProtocolError):
-        buy_shares(state, addrs[1], [0], now=3)
+        buy_shares(state, addrs[1], [0])
 
 
 def test_upload_and_reveal_guards():
     ledger, state, accounts = fresh_lottery(2, balance=10**8)
     addrs = [acct.address for acct in accounts]
     ban_player(state, addrs[1])
-    begin_key_upload(state, now=1)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
     with pytest.raises(ProtocolError):
-        upload_key(state, addrs[1], key=1, now=1)  # banned
+        upload_key(state, addrs[1], key=1)  # banned
     with pytest.raises(ProtocolError):
-        upload_key(state, b"\x07" * 32, key=1, now=1)  # unknown
+        upload_key(state, b"\x07" * 32, key=1)  # unknown
     with pytest.raises(PhaseError):
-        reveal_key(state, addrs[0], key=1, now=1)  # wrong phase
+        reveal_key(state, addrs[0], key=1)  # wrong phase
 
 
 def test_host_has_no_special_power():
@@ -499,13 +601,17 @@ def test_single_player_space_one_takes_whole_pool():
         guess_space_size=1,
     )
     host = accounts[0].address
-    begin_key_upload(state, now=1)
-    upload_key(state, host, key=9, now=1)
-    begin_betting(state, now=3)
-    buy_shares(state, host, [0], now=3)
-    enter_buffer(state, now=4)
-    reveal_key(state, host, key=9, now=4)
-    draw(state, now=5)
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    upload_key(state, host, key=9)
+    tick_to(ledger, 3)
+    begin_betting(state)
+    buy_shares(state, host, [0])
+    tick_to(ledger, 4)
+    enter_buffer(state)
+    reveal_key(state, host, key=9)
+    tick_to(ledger, 5)
+    draw(state)
     payouts = settle(state)
     assert state.winners == {0}
     assert payouts == {host: state.pool_at_settle}
