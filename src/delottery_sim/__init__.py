@@ -32,6 +32,7 @@ from .chain import (
     Account,
     Block,
     Event,
+    FEE_SINK,
     Ledger,
     PowProof,
     chain_dump,
@@ -39,7 +40,6 @@ from .chain import (
     mine_block,
     preview_block,
     solve_pow,
-    transfer,
     verify_chain,
     verify_pow,
 )
@@ -50,7 +50,6 @@ from .errors import (
     ConfigError,
     DuplicateAddress,
     InsufficientBalance,
-    NoEntropy,
     PhaseError,
     ProtocolError,
     ReportError,

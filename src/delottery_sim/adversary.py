@@ -25,7 +25,7 @@ rubberstamping certifiers wave everything through until the budget runs
 dry.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 
@@ -79,7 +79,6 @@ class SybilAttacker:
     controller: bytes
     fake_count: int
     budget: int
-    spawned: list = field(default_factory=list)  # (salt, address) audit trail
 
 
 @dataclass(slots=True)
@@ -240,8 +239,6 @@ def sybil_spawn(ledger: Ledger, attacker: SybilAttacker, n: int, start_salt: int
         except DuplicateAddress:
             acct = ledger.account(H(H(material)))
         fakes.append(acct.address)
-        if (salt, acct.address) not in attacker.spawned:
-            attacker.spawned.append((salt, acct.address))
     return fakes
 
 

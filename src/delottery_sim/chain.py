@@ -27,9 +27,11 @@ digest_int(digest) < d. Every check (nonce search, `verify_pow`,
 <=, which is that predicate for every integer d: 32-byte strings of equal
 length order as big-endian integers.
 
-Conservation: sum(balances) + fee_sink + sum(escrow buckets) equals the
-total minted at genesis after every operation. `conservation_residual()`
-is the oracle the whole test suite leans on.
+Conservation: money changes hands only through `Ledger.move`, between
+accounts, escrow buckets and the receive-only FEE_SINK, and
+`create_account` is the only mint. So sum(balances) + fee_sink +
+sum(escrow buckets) equals the total minted after every operation.
+`conservation_residual()` is the oracle the whole test suite leans on.
 """
 
 from dataclasses import dataclass
@@ -47,6 +49,9 @@ from .hashing import DIGEST_SIZE, H, MAX_TARGET
 
 GENESIS_PREV = b"\x00" * 32
 GENESIS_MINER = b"\x00" * 32
+
+# the holder of fees and settlement remainders: it receives and never pays
+FEE_SINK = object()
 
 EVENT_KINDS = (
     "transfer",
@@ -167,46 +172,44 @@ class Ledger:
     def balance_of(self, address: bytes) -> int:
         return self.account(address).balance
 
-    def debit(self, address: bytes, amount: int) -> None:
-        acct = self.account(address)
+    def move(self, src, dst, amount: int) -> None:
+        """Move `amount` atomic units from holder `src` to holder `dst`.
+
+        A holder is an account address (bytes), an escrow bucket name (str)
+        or FEE_SINK, which only receives. Every check runs before anything
+        changes, so a raise leaves the ledger as it was. A zero amount
+        passes the checks and changes nothing; a bucket that empties
+        disappears.
+        """
         if amount < 0:
-            raise ProtocolError("negative amount")
-        if acct.balance < amount:
-            raise InsufficientBalance(
-                f"balance {acct.balance} < {amount} for {address.hex()[:16]}…"
-            )
-        acct.balance -= amount
-
-    def credit(self, address: bytes, amount: int) -> None:
-        if amount < 0:
-            raise ProtocolError("negative amount")
-        self.account(address).balance += amount
-
-    def to_escrow(self, address: bytes, bucket: str, amount: int) -> None:
-        self.debit(address, amount)
-        self.escrow[bucket] = self.escrow.get(bucket, 0) + amount
-
-    def from_escrow(self, bucket: str, address: bytes, amount: int) -> None:
-        self._drain_bucket(bucket, amount)
-        self.credit(address, amount)
-
-    def escrow_move(self, src: str, dst: str, amount: int) -> None:
-        self._drain_bucket(src, amount)
-        self.escrow[dst] = self.escrow.get(dst, 0) + amount
-
-    def escrow_to_sink(self, bucket: str, amount: int) -> None:
-        self._drain_bucket(bucket, amount)
-        self.fee_sink += amount
-
-    def _drain_bucket(self, bucket: str, amount: int) -> None:
-        held = self.escrow.get(bucket, 0)
-        if amount < 0 or held < amount:
-            raise ProtocolError(f"escrow bucket {bucket!r} holds {held}, asked {amount}")
-        remaining = held - amount
-        if remaining:
-            self.escrow[bucket] = remaining
+            raise ProtocolError(f"negative amount {amount}")
+        dst_acct = self.account(dst) if isinstance(dst, bytes) else None
+        src_acct = self.account(src) if isinstance(src, bytes) else None
+        if src_acct is not None:
+            if src_acct.balance < amount:
+                raise InsufficientBalance(
+                    f"balance {src_acct.balance} < {amount} for {src.hex()[:16]}…"
+                )
+        elif src is FEE_SINK:
+            raise ProtocolError("the fee sink only receives")
         else:
-            self.escrow.pop(bucket, None)
+            held = self.escrow.get(src, 0)
+            if held < amount:
+                raise ProtocolError(f"escrow bucket {src!r} holds {held}, asked {amount}")
+        if not amount:
+            return
+        if src_acct is not None:
+            src_acct.balance -= amount
+        elif held == amount:
+            del self.escrow[src]
+        else:
+            self.escrow[src] = held - amount
+        if dst_acct is not None:
+            dst_acct.balance += amount
+        elif dst is FEE_SINK:
+            self.fee_sink += amount
+        else:
+            self.escrow[dst] = self.escrow.get(dst, 0) + amount
 
     def total_money(self) -> int:
         return sum(a.balance for a in self.accounts.values()) + self.fee_sink + sum(
@@ -235,11 +238,18 @@ class Ledger:
         return self._authentic_body(event) is not None
 
     def _authentic_body(self, event: Event) -> bytes | None:
-        """The event's body encoded from its payload now, or None if its tag fails."""
+        """The event's body encoded from its payload now, or None if its tag fails.
+
+        A payload changed after tagging into one the encoder refuses fails
+        too: no tag can cover bytes that do not exist.
+        """
         acct = self.accounts.get(event.sender)
         if acct is None:
             return None
-        body = canonical_event_bytes(event.kind, event.sender, event.timestamp, event.payload)
+        try:
+            body = canonical_event_bytes(event.kind, event.sender, event.timestamp, event.payload)
+        except ValueError:
+            return None
         return body if H(acct.secret + body) == event.auth_tag else None
 
     def advance_clock(self) -> int:
@@ -268,15 +278,6 @@ def create_account(
     ledger.accounts[address] = acct
     ledger.total_minted += initial_balance
     return acct
-
-
-def transfer(ledger: Ledger, src: bytes, dst: bytes, amount: int) -> None:
-    """Move `amount` atomic units; rejects overdrafts leaving the ledger untouched."""
-    if amount < 0:
-        raise ProtocolError("transfer amount must be >= 0")
-    ledger.account(dst)
-    ledger.debit(src, amount)
-    ledger.credit(dst, amount)
 
 
 def pow_target(difficulty: int) -> bytes:
@@ -381,13 +382,12 @@ def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
     try:
         for ev in events:
             if ev.kind == "transfer":
-                amt = ev.payload["amount"]
-                transfer(ledger, ev.sender, bytes.fromhex(ev.payload["to"]), amt)
-                applied.append((ev.sender, bytes.fromhex(ev.payload["to"]), amt))
+                move = (ev.sender, bytes.fromhex(ev.payload["to"]), ev.payload["amount"])
+                ledger.move(*move)
+                applied.append(move)
     except ProtocolError:
-        for src, dst, amt in reversed(applied):
-            ledger.debit(dst, amt)
-            ledger.credit(src, amt)
+        for src, dst, amount in reversed(applied):
+            ledger.move(dst, src, amount)
         raise
     block = _build_on_tip(ledger, events, b"".join(wire), miner)
     ledger.chain.append(block)

@@ -38,10 +38,6 @@ class BindingViolation(ProtocolError):
     """A revealed value does not hash to its earlier commitment."""
 
 
-class NoEntropy(ProtocolError):
-    """A randomness round finalized with zero valid reveals and was aborted."""
-
-
 class PhaseError(ProtocolError):
     """Operation attempted in the wrong lottery phase, or a phase replay."""
 

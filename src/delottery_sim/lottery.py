@@ -39,14 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import randao
-from .chain import Ledger, PowProof, verify_pow
-from .errors import (
-    AdmissionRejected,
-    ConfigError,
-    NoEntropy,
-    PhaseError,
-    ProtocolError,
-)
+from .chain import FEE_SINK, Ledger, PowProof, verify_pow
+from .errors import AdmissionRejected, ConfigError, PhaseError, ProtocolError
 from .hashing import H, MAX_TARGET, digest_int, le8
 
 PHASES = ("Deployed", "Enrolling", "KeyUpload", "Betting", "Buffer", "Drawn", "Settled")
@@ -126,7 +120,6 @@ class LotteryState:
         self.round: randao.RngRound | None = None
         self.betting_close: int | None = None
         self.winners: set[int] | None = None
-        self.no_entropy = False
         self.pool_at_settle = 0
         self.winning_share_total = 0
         self._join_seq = 0
@@ -332,9 +325,8 @@ def buy_shares(state: LotteryState, player: bytes, guesses) -> None:
     cost = m * (price + fee)
     if state.ledger.balance_of(player) < cost:
         raise ProtocolError(f"balance below {cost} for {m} shares")
-    state.ledger.to_escrow(player, state.stake_bucket, m * price)
-    state.ledger.debit(player, m * fee)
-    state.ledger.fee_sink += m * fee
+    state.ledger.move(player, state.stake_bucket, m * price)
+    state.ledger.move(player, FEE_SINK, m * fee)
     record.guesses.extend(guesses)
     record.stake_paid += m * price
     record.fees_paid += m * fee
@@ -408,17 +400,14 @@ def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
         state._advance(DRAWN)
         return state.winners
     refund_now = state.config.pool_mode == POOL_CONSISTENT
-    try:
-        output, refunds, forfeited = randao.finalize(
-            ledger,
-            state.round,
-            excluded=frozenset(state.banned),
-            apply_refunds=refund_now,
-        )
-    except NoEntropy:  # finalize has already returned every deposit
+    output, refunds, forfeited = randao.finalize(
+        ledger,
+        state.round,
+        excluded=frozenset(state.banned),
+        apply_refunds=refund_now,
+    )
+    if output is None:  # aborted: finalize has returned every deposit
         _mirror_refunds(state)
-        state.no_entropy = True
-        state.winners = None
         state._advance(DRAWN)
         return None
     for addr, commitment in state.round.commitments.items():
@@ -430,8 +419,7 @@ def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
                 record.deposit_refunded = refunds[addr]
         else:
             record.deposit_forfeited = commitment.deposit
-    if forfeited:
-        ledger.escrow_move(state.round.bucket, state.phi_bucket, forfeited)
+    ledger.move(state.round.bucket, state.phi_bucket, forfeited)
     state.winners = derive_winners(
         output, state.config.winning_draws, state.config.guess_space_size
     )
@@ -478,8 +466,8 @@ def settle(state: LotteryState) -> dict:
     identity sum(payouts) + remainder == pool is exact.
     """
     state._require(DRAWN)
-    if state.no_entropy:
-        # full-refund path: deposits came back at the abort, stakes here
+    if state.winners is None:
+        # aborted draw: deposits came back at the abort, stakes come back here
         _refund_stakes(state)
         state._advance(SETTLED)
         return {}
@@ -493,36 +481,31 @@ def settle(state: LotteryState) -> dict:
     payouts: dict[bytes, int] = {}
     if total_winning > 0:
         pool_bucket = f"pool:{state.instance_id}"
-        if state.phi:
-            ledger.escrow_move(state.phi_bucket, pool_bucket, state.phi)
-        if funds:
-            ledger.escrow_move(funds_bucket, pool_bucket, funds)
+        ledger.move(state.phi_bucket, pool_bucket, state.phi)
+        ledger.move(funds_bucket, pool_bucket, funds)
         paid = 0
         for addr in state.players:
             shares = counts.get(addr, 0)
             if shares:
                 amount = shares * pool // total_winning
-                ledger.from_escrow(pool_bucket, addr, amount)
+                ledger.move(pool_bucket, addr, amount)
                 state.players[addr].payout = amount
                 payouts[addr] = amount
                 paid += amount
-        if pool - paid:
-            ledger.escrow_to_sink(pool_bucket, pool - paid)
+        ledger.move(pool_bucket, FEE_SINK, pool - paid)
     else:
-        if state.phi:
-            ledger.escrow_to_sink(state.phi_bucket, state.phi)
+        ledger.move(state.phi_bucket, FEE_SINK, state.phi)
         if state.config.pool_mode == POOL_CONSISTENT:
             _refund_stakes(state)
-        elif funds:  # nobody won: the held deposits go to the sink
-            ledger.escrow_to_sink(funds_bucket, funds)
+        else:  # nobody won: the held deposits go to the sink
+            ledger.move(funds_bucket, FEE_SINK, funds)
     state._advance(SETTLED)
     return payouts
 
 
 def _refund_stakes(state: LotteryState) -> None:
     for addr, record in state.players.items():
-        if record.stake_paid:
-            state.ledger.from_escrow(state.stake_bucket, addr, record.stake_paid)
+        state.ledger.move(state.stake_bucket, addr, record.stake_paid)
 
 
 def settlement_report(state: LotteryState) -> str:

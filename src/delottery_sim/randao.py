@@ -22,14 +22,14 @@ Every window is checked against `ledger.clock`, the clock that also
 stamps each event; no caller can pass a time of its own. Window
 boundaries are inclusive of the deadline tick. A round that
 finalizes with zero valid reveals aborts instead of drawing from nothing:
-every deposit (even an excluded committer's) is returned and NoEntropy is
-raised after the refunds are applied.
+every deposit (even an excluded committer's) is returned and its output
+is None.
 """
 
 from dataclasses import dataclass, field
 
 from .chain import Ledger
-from .errors import BindingViolation, NoEntropy, ProtocolError, WindowError
+from .errors import BindingViolation, ProtocolError, WindowError
 from .hashing import H, encode_i64, le8
 
 OPEN = "Open"
@@ -99,7 +99,7 @@ def commit(
         raise ProtocolError("player already committed this round")
     if deposit <= 0:
         raise ProtocolError("deposit must be positive")
-    ledger.to_escrow(player, rnd.bucket, deposit)
+    ledger.move(player, rnd.bucket, deposit)
     c = Commitment(player, commit_hash, deposit)
     rnd.commitments[player] = c
     ledger.emit(
@@ -154,7 +154,7 @@ def peek_output(rnd: RngRound, excluded: frozenset = frozenset()) -> bytes | Non
 def refund_all(ledger: Ledger, rnd: RngRound) -> None:
     """Close the round without an output, returning every committed deposit."""
     for addr in sorted(rnd.commitments):
-        ledger.from_escrow(rnd.bucket, addr, rnd.commitments[addr].deposit)
+        ledger.move(rnd.bucket, addr, rnd.commitments[addr].deposit)
     rnd.state = FINALIZED
     rnd.output = None
 
@@ -171,6 +171,8 @@ def finalize(
     accounts) contribute no entropy and forfeit their deposits. With
     apply_refunds=False the refunds are computed and left in the round's
     escrow bucket for the caller to route (deposit-consuming pool modes).
+    With no valid reveals the round aborts: every deposit is returned,
+    whatever apply_refunds says, and the result is (None, refunds, 0).
 
     Forfeited money always stays in the round bucket; the caller decides
     where captured funds accumulate.
@@ -179,21 +181,18 @@ def finalize(
         raise ProtocolError("round already finalized")
     if ledger.clock <= rnd.reveal_deadline:
         raise WindowError(f"cannot finalize before tick {rnd.reveal_deadline + 1}")
-    values = {a: r.value for a, r in rnd.reveals.items() if a not in excluded}
-    if not values:
+    output = peek_output(rnd, excluded)
+    if output is None:
         refund_all(ledger, rnd)
-        raise NoEntropy(
-            f"round {rnd.round_id} had no valid reveals; all deposits returned"
-        )
-    output = combine(values, rnd.round_id)
+        return None, {a: rnd.commitments[a].deposit for a in sorted(rnd.commitments)}, 0
     refunds: dict[bytes, int] = {}
     forfeited = 0
     for addr in sorted(rnd.commitments):
         deposit = rnd.commitments[addr].deposit
-        if addr in values:
+        if addr in rnd.reveals and addr not in excluded:
             refunds[addr] = deposit
             if apply_refunds:
-                ledger.from_escrow(rnd.bucket, addr, deposit)
+                ledger.move(rnd.bucket, addr, deposit)
         else:
             forfeited += deposit
     rnd.state = FINALIZED

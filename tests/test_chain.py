@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+import delottery_sim
 from delottery_sim import (
+    FEE_SINK,
     AuthTagError,
     DuplicateAddress,
     H,
@@ -16,7 +21,6 @@ from delottery_sim import (
     mine_block,
     preview_block,
     solve_pow,
-    transfer,
     verify_chain,
     verify_pow,
 )
@@ -51,10 +55,11 @@ def test_unknown_address_rejected():
 
 
 def test_debit_overdraft_leaves_balance_untouched():
-    ledger, _, alice, _ = fresh()
+    ledger, _, alice, bob = fresh()
     with pytest.raises(InsufficientBalance):
-        ledger.debit(alice.address, 1001)
+        ledger.move(alice.address, bob.address, 1001)
     assert ledger.balance_of(alice.address) == 1000
+    assert ledger.balance_of(bob.address) == 500
 
 
 def test_event_auth_tag_binds_payload():
@@ -86,11 +91,15 @@ def test_swapped_colliding_payload_is_not_mined():
     with pytest.raises(ValueError):
         ledger.emit("commit", alice.address, {"a=1|b": 2})
     assert ledger.pending == []
-    ev = ledger.emit("commit", alice.address, {"a": 1, "b": 2})
-    ev.payload = {"a=1|b": 2}  # same bytes as the tagged payload, were keys unchecked
-    with pytest.raises(ValueError):
-        mine_block(ledger, miner.address, [ev])
-    assert len(ledger.chain) == 1 and ledger._last_mine_tick == -1
+    colliding = ledger.emit("commit", alice.address, {"a": 1, "b": 2})
+    colliding.payload = {"a=1|b": 2}  # same bytes as the tagged payload, were keys unchecked
+    swapped = ledger.emit("commit", alice.address, {"v": 1})
+    swapped.payload["v"] = True  # equal to 1, but the encoder refuses bools
+    for ev in (colliding, swapped):
+        assert not ledger.verify_event(ev)
+        with pytest.raises(AuthTagError):
+            mine_block(ledger, miner.address, [ev])
+        assert len(ledger.chain) == 1 and ledger._last_mine_tick == -1
 
 
 def test_mining_applies_transfers_and_clears_nothing_on_failure():
@@ -202,24 +211,79 @@ def test_chain_dump_format():
 def test_escrow_conservation_and_bucket_drain():
     ledger, _, alice, bob = fresh()
     minted = ledger.total_minted
-    ledger.to_escrow(alice.address, "pot", 300)
+    ledger.move(alice.address, "pot", 300)
     assert ledger.balance_of(alice.address) == 700
     assert ledger.total_money() == minted
-    ledger.escrow_move("pot", "pot2", 100)
-    ledger.from_escrow("pot2", bob.address, 100)
+    ledger.move("pot", "pot2", 100)
+    ledger.move("pot2", bob.address, 100)
     assert "pot2" not in ledger.escrow  # emptied buckets disappear
-    ledger.escrow_to_sink("pot", 200)
+    ledger.move("pot", FEE_SINK, 200)
     assert "pot" not in ledger.escrow
     assert ledger.fee_sink == 200
     assert ledger.conservation_residual() == 0
     with pytest.raises(ProtocolError):
-        ledger.escrow_move("pot", "x", 1)
+        ledger.move("pot", "x", 1)
 
 
 def test_transfer_requires_known_destination():
     ledger, _, alice, _ = fresh()
     with pytest.raises(UnknownAddress):
-        transfer(ledger, alice.address, b"\x11" * 32, 1)
+        ledger.move(alice.address, b"\x11" * 32, 1)
+    assert ledger.balance_of(alice.address) == 1000
+
+
+_HOLDERS = ("alice", "bob", "carol", "pot", "pot2", "sink", "stranger")
+# an amount is a number, or all that the source holds ("all") or one more ("all+1")
+_AMOUNTS = st.one_of(st.integers(-2, 1501), st.sampled_from(["all", "all+1"]))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_HOLDERS), st.sampled_from(_HOLDERS), _AMOUNTS),
+                max_size=25))
+def test_move_conserves_money_and_a_raise_changes_nothing(steps):
+    ledger = Ledger()
+    holder = {name: create_account(ledger, name.encode(), balance).address
+              for name, balance in (("alice", 1000), ("bob", 500), ("carol", 0))}
+    holder.update(pot="pot", pot2="pot2", sink=FEE_SINK, stranger=H(H(b"stranger")))
+
+    def holdings():
+        held = {holder[n]: ledger.balance_of(holder[n]) for n in ("alice", "bob", "carol")}
+        held.update((b, ledger.escrow.get(b, 0)) for b in ("pot", "pot2"))
+        held[FEE_SINK] = ledger.fee_sink
+        return held
+
+    for src_name, dst_name, amount in steps:
+        src, dst = holder[src_name], holder[dst_name]
+        before = holdings()
+        has = before.get(src, 0)
+        amount = {"all": has, "all+1": has + 1}.get(amount, amount)
+        if 0 <= amount <= has and src_name not in ("sink", "stranger") and dst_name != "stranger":
+            ledger.move(src, dst, amount)
+            before[src] -= amount
+            before[dst] += amount
+            assert holdings() == before  # exactly `amount` changed hands
+        else:
+            escrow = dict(ledger.escrow)
+            with pytest.raises(ProtocolError):
+                ledger.move(src, dst, amount)
+            assert holdings() == before and ledger.escrow == escrow
+        assert ledger.conservation_residual() == 0
+        assert 0 not in ledger.escrow.values()
+
+
+def test_only_ledger_move_writes_money():
+    """Outside chain.py no code assigns to a balance, the fee sink or the escrow."""
+    writes = []
+    for path in sorted(Path(delottery_sim.__file__).parent.glob("*.py")):
+        if path.name == "chain.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                continue
+            if isinstance(node, ast.Subscript):
+                node = node.value
+            if isinstance(node, ast.Attribute) and node.attr in ("balance", "fee_sink", "escrow"):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
 
 
 # --- the event encoder against a frozen copy of its first version --------

@@ -412,7 +412,7 @@ def test_abort_refunds_all_deposits_and_stakes():
     tick_to(ledger, 5)
     result = draw(state)
     assert result is None
-    assert state.no_entropy and state.winners is None
+    assert state.winners is None
     assert state.phase == "Drawn"  # abort still passes through the draw phase
     payouts = settle(state)
     assert payouts == {}

@@ -7,7 +7,6 @@ from delottery_sim import (
     BindingViolation,
     H,
     Ledger,
-    NoEntropy,
     ProtocolError,
     WindowError,
     combine,
@@ -179,16 +178,18 @@ def test_finalize_excluded_revealer_is_forfeited():
 
 
 def test_no_entropy_aborts_and_refunds_everyone():
-    ledger, (a, b, _), rnd = setup_round()
-    commit(ledger, rnd, a.address, commit_hash_for(1), 100)
-    commit(ledger, rnd, b.address, commit_hash_for(2), 200)
-    tick_to(ledger, 11)
-    with pytest.raises(NoEntropy):
-        finalize(ledger, rnd)
-    assert ledger.balance_of(a.address) == 10_000
-    assert ledger.balance_of(b.address) == 10_000
-    assert rnd.bucket not in ledger.escrow
-    assert rnd.output is None
+    for apply_refunds in (True, False):  # an abort returns every deposit either way
+        ledger, (a, b, _), rnd = setup_round()
+        commit(ledger, rnd, a.address, commit_hash_for(1), 100)
+        commit(ledger, rnd, b.address, commit_hash_for(2), 200)
+        tick_to(ledger, 11)
+        output, refunds, forfeited = finalize(ledger, rnd, apply_refunds=apply_refunds)
+        assert output is None
+        assert refunds == {a.address: 100, b.address: 200} and forfeited == 0
+        assert ledger.balance_of(a.address) == 10_000
+        assert ledger.balance_of(b.address) == 10_000
+        assert rnd.bucket not in ledger.escrow
+        assert rnd.output is None and rnd.state == "Finalized"
 
 
 def test_transcript_format_sorted_by_committer():
