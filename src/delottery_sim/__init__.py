@@ -69,8 +69,6 @@ from .harness import (
 )
 from .hashing import H, MAX_TARGET, decode_i64, digest_int, encode_i64, le8
 from .lottery import (
-    EVICT_OLDEST,
-    EVICT_RECENT,
     LotteryConfig,
     LotteryState,
     PHASES,

@@ -358,13 +358,25 @@ def preview_block(ledger: Ledger, events, miner: bytes) -> Block:
     return _build_on_tip(ledger, events, b"".join(map(event_wire_bytes, events)), miner)
 
 
+def _transfer_move(ev: Event) -> tuple[bytes, bytes, int]:
+    """(src, dst, amount) of a transfer event; ProtocolError if malformed."""
+    to, amount = ev.payload.get("to"), ev.payload.get("amount")
+    if not isinstance(to, str) or not isinstance(amount, int):
+        raise ProtocolError("a transfer needs a hex string 'to' and an int 'amount'")
+    try:
+        return ev.sender, bytes.fromhex(to), amount
+    except ValueError:
+        raise ProtocolError(f"transfer 'to' is not hex: {to!r}") from None
+
+
 def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
     """Validate, mine and append one block; applies transfer events in order.
 
     Each event is encoded once, from its payload as it is now: the auth
     tag is checked against those bytes and the block is hashed from them.
-    The whole call is atomic: a bad auth tag or an inapplicable transfer
-    rejects everything, leaving chain and balances untouched.
+    The whole call is atomic: a bad auth tag, a malformed transfer or an
+    inapplicable one rejects everything, leaving chain and balances
+    untouched.
     """
     miner_acct = ledger.account(miner)
     if not miner_acct.is_transaction_node:
@@ -378,13 +390,12 @@ def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
         if body is None:
             raise AuthTagError(f"event {ev.kind} from {ev.sender.hex()[:16]}… fails auth")
         wire.append(body + ev.auth_tag)
+    moves = [_transfer_move(ev) for ev in events if ev.kind == "transfer"]
     applied: list[tuple[bytes, bytes, int]] = []
     try:
-        for ev in events:
-            if ev.kind == "transfer":
-                move = (ev.sender, bytes.fromhex(ev.payload["to"]), ev.payload["amount"])
-                ledger.move(*move)
-                applied.append(move)
+        for move in moves:
+            ledger.move(*move)
+            applied.append(move)
     except ProtocolError:
         for src, dst, amount in reversed(applied):
             ledger.move(dst, src, amount)

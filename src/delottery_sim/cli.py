@@ -9,7 +9,8 @@
 `run` executes a scenario and emits its report (stdout when --out is
 omitted); the mode, pool-mode and base-seed flags override the scenario
 file, and the overridden scenario is validated as a loaded one is.
-`verify` re-checks an emitted JSON report's schema and conservation.
+`verify` re-checks an emitted JSON report's schema, conservation and
+the fields the report implies.
 Both exit 0 only if every invariant check passes; exit 1 means a failed
 check and exit 2 a usage or input error. Progress notes go to stderr so
 piped report bytes stay clean.

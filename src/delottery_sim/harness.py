@@ -225,10 +225,7 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
         _tick_through(ledger, miner, ledger.clock)
 
     residual = ledger.conservation_residual()
-    chi = None
-    if len(roster) >= 2 and sum(histogram.values()) > 0:
-        statistic, passed, df = stats.chi_square_uniform(list(histogram.values()))
-        chi = {"statistic": statistic, "df": df, "pass": passed}
+    chi = _chi_square(list(histogram.values()))
 
     attack = None
     if node_attacker is not None:
@@ -263,6 +260,21 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
         "rejections": rejections,
     }
     return RunReport(data, time.perf_counter() - t0)
+
+
+def _chi_square(counts: list) -> dict | None:
+    """A report's chi_square block: null below 2 players or with no wins."""
+    if len(counts) < 2 or sum(counts) == 0:
+        return None
+    statistic, passed, df = stats.chi_square_uniform(counts)
+    return {"statistic": statistic, "df": df, "pass": passed}
+
+
+def _pass_count(per_seed: list) -> int | None:
+    """Seeds whose chi-square verdict is a pass; null when no seed has one."""
+    verdicts = [row.get("chi_square_pass") for row in per_seed]
+    verdicts = [v for v in verdicts if v is not None]
+    return sum(v is True for v in verdicts) if verdicts else None
 
 
 # the counters an aggregate attack/sybil block sums over seeds; per-seed rows
@@ -315,7 +327,6 @@ def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
             fake: ctl for d in singles for fake, ctl in d["sybil"]["admitted_identities"].items()
         }
 
-    chis = [d["chi_square"] for d in singles if d["chi_square"] is not None]
     residuals_zero = all(d["conservation_residual"] == 0 for d in singles)
     data = {
         "schema": SCHEMA,
@@ -333,7 +344,7 @@ def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
         },
         "per_seed": per_seed,
         "residuals_zero": residuals_zero,
-        "chi_square_pass_count": sum(c["pass"] for c in chis) if chis else None,
+        "chi_square_pass_count": _pass_count(per_seed),
         "attack": attack,
         "sybil": sybil,
         "failing": not residuals_zero,
@@ -450,7 +461,7 @@ _AGGREGATE_KEYS = (
 
 
 def verify_report(data: dict) -> list:
-    """Re-check schema and conservation; returns a list of failure strings."""
+    """Re-check schema, conservation and implied fields; returns failure strings."""
     problems = []
     if not isinstance(data, dict):
         return ["report root must be an object"]
@@ -488,4 +499,31 @@ def verify_report(data: dict) -> list:
         missing = [n for n in names if n not in data[field_name]]
         if missing:
             problems.append(f"{field_name} missing players: {missing}")
+    return problems or _implied_problems(data, kind, names)
+
+
+def _implied_problems(data: dict, kind: str, names: list) -> list:
+    """Compare the fields a report derives from others with a recompute."""
+    single = kind == "single"
+    rows, n_rows = ("winners_per_round", "rounds") if single else ("per_seed", "n_seeds")
+    sizes = ("rounds",) if single else ("n_seeds", "rounds_per_seed")
+    if not isinstance(data[rows], list) or not all(type(data[k]) is int for k in sizes):
+        return [f"cannot recompute: {rows} must be a list and {', '.join(sizes)} integers"]
+    problems = []
+    if len(data[rows]) != data[n_rows]:
+        problems.append(f"{rows} has {len(data[rows])} entries, expected {data[n_rows]}")
+    rounds = data["rounds"] if single else data["n_seeds"] * data["rounds_per_seed"]
+    counts = [data["winner_histogram"][n] for n in names]
+    for name, count in zip(names, counts):
+        if not isinstance(count, int) or not 0 <= count <= rounds:
+            problems.append(f"winner_histogram[{name!r}] = {count!r}, outside [0, {rounds}]")
+    if problems:
+        return problems
+    key = "chi_square" if single else "chi_square_pass_count"
+    try:
+        expected = _chi_square(counts) if single else _pass_count(data["per_seed"])
+    except ProtocolError as exc:
+        return [f"cannot recompute {key}: {exc}"]
+    if data[key] != expected:
+        problems.append(f"{key} is {data[key]!r}, recomputed {expected!r}")
     return problems

@@ -29,7 +29,7 @@ plus stake money; total funds are conserved with no stranded escrow.
 which mirrors the source accounting at the cost of stranding funds; the
 stranded amount is tracked so audits stay exact.
 
-The deploying host is recorded for audit only: no operation takes a
+The host is the first player and first certifier: no operation takes a
 host-only path, so the host has exactly zero privilege after deployment.
 """
 
@@ -49,9 +49,6 @@ DEPLOYED, ENROLLING, KEY_UPLOAD, BETTING, BUFFER, DRAWN, SETTLED = PHASES
 POOL_CONSISTENT = "consistent"
 POOL_LITERAL = "literal"
 
-EVICT_RECENT = "recent"  # replace the most recently joined certifier (as specified)
-EVICT_OLDEST = "oldest"  # alternate FIFO rotation
-
 FEE_RATIO_DENOMINATOR = 10**12
 
 
@@ -66,7 +63,6 @@ class LotteryConfig:
     winning_draws: int = 1
     pool_mode: str = POOL_CONSISTENT
     pow_difficulty: int = MAX_TARGET
-    cert_eviction: str = EVICT_RECENT
 
     def validate(self) -> None:
         k = Fraction(self.security_factor)
@@ -86,19 +82,11 @@ class LotteryConfig:
             raise ConfigError(f"unknown pool_mode {self.pool_mode!r}")
         if not 0 < self.pow_difficulty <= MAX_TARGET:
             raise ConfigError("pow_difficulty target must be in (0, 2^256]")
-        if self.cert_eviction not in (EVICT_RECENT, EVICT_OLDEST):
-            raise ConfigError(f"unknown cert_eviction {self.cert_eviction!r}")
 
 
 @dataclass(slots=True)
 class PlayerRecord:
-    address: bytes
     guesses: list = field(default_factory=list)
-    deposit: int = 0
-    joined_seq: int = 0
-    banned: bool = False
-    stake_paid: int = 0
-    fees_paid: int = 0
     deposit_refunded: int = 0
     deposit_forfeited: int = 0
     payout: int = 0
@@ -107,22 +95,18 @@ class PlayerRecord:
 class LotteryState:
     """All mutable state of one lottery event, bound to a ledger."""
 
-    def __init__(self, ledger: Ledger, host: bytes, config: LotteryConfig):
+    def __init__(self, ledger: Ledger, config: LotteryConfig):
         self.ledger = ledger
         self.config = config
-        self.host = host  # audit only; grants no capability
         self.instance_id = ledger.next_lottery_id()
         self.phase = DEPLOYED
-        self.phase_history = [DEPLOYED]
         self.players: dict[bytes, PlayerRecord] = {}
-        self.active_certifiers: list[bytes] = []
+        self.active_certifiers: list[bytes] = []  # in join order
         self.banned: set[bytes] = set()
         self.round: randao.RngRound | None = None
         self.betting_close: int | None = None
         self.winners: set[int] | None = None
         self.pool_at_settle = 0
-        self.winning_share_total = 0
-        self._join_seq = 0
 
     @property
     def phi_bucket(self) -> str:
@@ -137,14 +121,10 @@ class LotteryState:
         return self.ledger.escrow.get(self.phi_bucket, 0)
 
     @property
-    def stake_pool(self) -> int:
-        return self.ledger.escrow.get(self.stake_bucket, 0)
-
-    @property
     def stranded(self) -> int:
         """Stake money frozen by literal-mode settlement; zero otherwise."""
         if self.phase == SETTLED and self.config.pool_mode == POOL_LITERAL:
-            return self.stake_pool
+            return self.ledger.escrow.get(self.stake_bucket, 0)
         return 0
 
     def eligible(self) -> list[bytes]:
@@ -155,7 +135,6 @@ class LotteryState:
         if PHASES.index(to_phase) != PHASES.index(self.phase) + 1:
             raise PhaseError(f"cannot move {self.phase} -> {to_phase}")
         self.phase = to_phase
-        self.phase_history.append(to_phase)
 
     def _require(self, phase: str) -> None:
         if self.phase != phase:
@@ -190,10 +169,9 @@ def deploy(ledger: Ledger, host: bytes, config: LotteryConfig) -> LotteryState:
     config.validate()
     if ledger.account(host).is_transaction_node:
         raise ProtocolError("transaction nodes cannot play")
-    state = LotteryState(ledger, host, config)
+    state = LotteryState(ledger, config)
     state._advance(ENROLLING)
-    state.players[host] = PlayerRecord(host, joined_seq=state._join_seq)
-    state._join_seq += 1
+    state.players[host] = PlayerRecord()
     state.active_certifiers.append(host)
     return state
 
@@ -212,9 +190,8 @@ def add_player(
     """Admit a candidate: valid PoW plus a vote from every active certifier.
 
     When the certifier set is at capacity, the admitted candidate replaces
-    the member that joined last (or first, under the alternate "oldest"
-    rotation). The ledger clock never runs back, so join order is join time
-    with ties broken by sequence.
+    the member that joined last. The set is kept in join order (admission
+    appends, a ban removes), so that member is the last entry.
     """
     state._require(ENROLLING)
     if state.ledger.account(candidate).is_transaction_node:
@@ -239,18 +216,10 @@ def add_player(
         state.ledger.emit(
             "certify", voter, {"instance": state.instance_id, "candidate": candidate}
         )
-    record = PlayerRecord(candidate, joined_seq=state._join_seq)
-    state._join_seq += 1
-    state.players[candidate] = record
+    state.players[candidate] = PlayerRecord()
     certs = state.active_certifiers
     if len(certs) == state.config.cert_cap:
-        key = lambda a: state.players[a].joined_seq
-        evict = (
-            max(certs, key=key)
-            if state.config.cert_eviction == EVICT_RECENT
-            else min(certs, key=key)
-        )
-        certs[certs.index(evict)] = candidate
+        certs[-1] = candidate
     else:
         certs.append(candidate)
 
@@ -259,13 +228,16 @@ def ban_player(state: LotteryState, player: bytes) -> None:
     """Mark an account illegal: out of A, keys unused, guesses score zero."""
     if state.phase in (DRAWN, SETTLED):
         raise PhaseError("cannot ban after the draw")
-    record = state.players.get(player)
-    if record is None:
+    if player not in state.players:
         raise ProtocolError("player not enrolled")
     state.banned.add(player)
-    record.banned = True
     if player in state.active_certifiers:
         state.active_certifiers.remove(player)
+
+
+def _require_eligible(state: LotteryState, player: bytes) -> None:
+    if player not in state.players or player in state.banned:
+        raise ProtocolError("player not enrolled or banned")
 
 
 def begin_key_upload(state: LotteryState) -> None:
@@ -284,9 +256,7 @@ def begin_key_upload(state: LotteryState) -> None:
 def upload_key(state: LotteryState, player: bytes, key: int) -> int:
     """Commit to a secret key and escrow the balance-scaled deposit d_i."""
     state._require(KEY_UPLOAD)
-    record = state.players.get(player)
-    if record is None or record.banned:
-        raise ProtocolError("player not enrolled or banned")
+    _require_eligible(state, player)
     cfg = state.config
     deposit = compute_deposit(
         cfg.share_price, cfg.security_factor, state.ledger.balance_of(player)
@@ -294,7 +264,6 @@ def upload_key(state: LotteryState, player: bytes, key: int) -> int:
     randao.commit(
         state.ledger, state.round, player, randao.commit_hash_for(key), deposit
     )
-    record.deposit = deposit
     return deposit
 
 
@@ -308,9 +277,7 @@ def begin_betting(state: LotteryState) -> None:
 def buy_shares(state: LotteryState, player: bytes, guesses) -> None:
     """Buy len(guesses) shares; price plus fee per share, atomically."""
     state._require(BETTING)
-    record = state.players.get(player)
-    if record is None or record.banned:
-        raise ProtocolError("player not enrolled or banned")
+    _require_eligible(state, player)
     guesses = list(guesses)
     for g in guesses:
         if not 0 <= g < state.config.guess_space_size:
@@ -327,9 +294,7 @@ def buy_shares(state: LotteryState, player: bytes, guesses) -> None:
         raise ProtocolError(f"balance below {cost} for {m} shares")
     state.ledger.move(player, state.stake_bucket, m * price)
     state.ledger.move(player, FEE_SINK, m * fee)
-    record.guesses.extend(guesses)
-    record.stake_paid += m * price
-    record.fees_paid += m * fee
+    state.players[player].guesses.extend(guesses)
     state.ledger.emit(
         "buy_shares",
         player,
@@ -347,9 +312,7 @@ def enter_buffer(state: LotteryState) -> None:
 
 def reveal_key(state: LotteryState, player: bytes, key: int) -> None:
     state._require(BUFFER)
-    record = state.players.get(player)
-    if record is None or record.banned:
-        raise ProtocolError("player not enrolled or banned")
+    _require_eligible(state, player)
     randao.reveal(state.ledger, state.round, player, key)
 
 
@@ -369,14 +332,6 @@ def derive_winners(seed: bytes, count: int, space: int) -> set:
     return winners
 
 
-def _mirror_refunds(state: LotteryState) -> None:
-    """Record on each player the full refund randao.refund_all paid out."""
-    for addr, commitment in state.round.commitments.items():
-        record = state.players.get(addr)
-        if record is not None:
-            record.deposit_refunded = commitment.deposit
-
-
 def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
     """Finalize randomness and fix the winning set W.
 
@@ -388,41 +343,31 @@ def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
     absent) so settlement can run the full-refund path.
     """
     state._require(BUFFER)
-    if state.ledger.clock <= state.round.reveal_deadline:
-        raise PhaseError(f"buffer runs until tick {state.round.reveal_deadline}")
-    ledger = state.ledger
-    if seed is not None:
-        randao.refund_all(ledger, state.round)  # entropy unused; every deposit is returnable
-        _mirror_refunds(state)
-        state.winners = derive_winners(
-            seed, state.config.winning_draws, state.config.guess_space_size
+    ledger, rnd, cfg = state.ledger, state.round, state.config
+    if ledger.clock <= rnd.reveal_deadline:
+        raise PhaseError(f"buffer runs until tick {rnd.reveal_deadline}")
+    output = seed
+    if seed is None:
+        returned = cfg.pool_mode == POOL_CONSISTENT
+        output, refunds, forfeited = randao.finalize(
+            ledger, rnd, excluded=frozenset(state.banned), apply_refunds=returned
         )
-        state._advance(DRAWN)
-        return state.winners
-    refund_now = state.config.pool_mode == POOL_CONSISTENT
-    output, refunds, forfeited = randao.finalize(
-        ledger,
-        state.round,
-        excluded=frozenset(state.banned),
-        apply_refunds=refund_now,
-    )
-    if output is None:  # aborted: finalize has returned every deposit
-        _mirror_refunds(state)
-        state._advance(DRAWN)
-        return None
-    for addr, commitment in state.round.commitments.items():
+        returned = returned or output is None  # an abort returns every deposit
+    else:  # the round's entropy goes unused, so every deposit is returnable
+        randao.refund_all(ledger, rnd)
+        refunds = {addr: c.deposit for addr, c in rnd.commitments.items()}
+        forfeited, returned = 0, True
+    for addr, commitment in rnd.commitments.items():
         record = state.players.get(addr)
         if record is None:
             continue
-        if addr in refunds:
-            if refund_now:
-                record.deposit_refunded = refunds[addr]
-        else:
+        if addr not in refunds:
             record.deposit_forfeited = commitment.deposit
-    ledger.move(state.round.bucket, state.phi_bucket, forfeited)
-    state.winners = derive_winners(
-        output, state.config.winning_draws, state.config.guess_space_size
-    )
+        elif returned:
+            record.deposit_refunded = refunds[addr]
+    ledger.move(rnd.bucket, state.phi_bucket, forfeited)
+    if output is not None:
+        state.winners = derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
     state._advance(DRAWN)
     return state.winners
 
@@ -450,10 +395,10 @@ def compute_prize_pool(state: LotteryState) -> int:
 
 
 def winning_share_count(state: LotteryState, player: bytes) -> int:
-    record = state.players[player]
-    if record.banned or state.winners is None:
+    guesses = state.players[player].guesses
+    if player in state.banned or state.winners is None:
         return 0
-    return sum(1 for g in record.guesses if g in state.winners)
+    return sum(1 for g in guesses if g in state.winners)
 
 
 def settle(state: LotteryState) -> dict:
@@ -477,7 +422,6 @@ def settle(state: LotteryState) -> dict:
     state.pool_at_settle = pool
     counts = {a: winning_share_count(state, a) for a in state.eligible()}
     total_winning = sum(counts.values())
-    state.winning_share_total = total_winning
     payouts: dict[bytes, int] = {}
     if total_winning > 0:
         pool_bucket = f"pool:{state.instance_id}"
@@ -504,8 +448,9 @@ def settle(state: LotteryState) -> dict:
 
 
 def _refund_stakes(state: LotteryState) -> None:
+    price = state.config.share_price
     for addr, record in state.players.items():
-        state.ledger.move(state.stake_bucket, addr, record.stake_paid)
+        state.ledger.move(state.stake_bucket, addr, len(record.guesses) * price)
 
 
 def settlement_report(state: LotteryState) -> str:

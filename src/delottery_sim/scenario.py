@@ -16,9 +16,9 @@ parser has no ambiguity to resolve:
 Global keys: name, rounds, base_seed, rng_mode, and the lottery config
 knobs (share_price, security_factor, cert_cap, bet_duration,
 buffer_duration, guess_space_size, winning_draws, pool_mode,
-pow_difficulty_bits, cert_eviction). Player keys: seed_material,
-balance, shares, guess_strategy (uniform | fixed), guesses (comma list,
-fixed strategy only), reveals (yes | no). Attacker keys depend on kind:
+pow_difficulty_bits). Player keys: seed_material, balance, shares,
+guess_strategy (uniform | fixed), guesses (comma list, fixed strategy
+only), reveals (yes | no). Attacker keys depend on kind:
 node takes seed_material, balance, mining_share, shares, guesses,
 subset_rule, futility_cap, reveals; sybil takes seed_material,
 fake_count, budget, certifier_policy (honest-refuse | rubberstamp).
@@ -144,7 +144,6 @@ _CONFIG_KEYS = {
     "winning_draws": _parse_int,
     "pool_mode": _str_value,
     "pow_difficulty_bits": _parse_difficulty_bits,
-    "cert_eviction": _str_value,
 }
 _PLAYER_KEYS = {
     "seed_material": _str_value,

@@ -173,7 +173,7 @@ def test_naive_without_attacker_matches_first_block_hash():
 def test_naive_draw_refunds_uploaded_deposits():
     # block-hash randomness ignores the round, so every deposit comes back
     ledger, state, miner, _, addrs = drive_to_draw("naive", [2], uploads=True)
-    deposits = {a: state.players[a].deposit for a in addrs}
+    deposits = {a: state.round.commitments[a].deposit for a in addrs}
     assert all(deposits.values())
     before = {a: ledger.balance_of(a) for a in addrs}
     run_naive_mode_round(state, None, miner, Stream(7, 0, "x"), addrs[0])

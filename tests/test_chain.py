@@ -118,6 +118,35 @@ def test_mining_applies_transfers_and_clears_nothing_on_failure():
     assert ledger.balance_of(bob.address) == 600
 
 
+def test_malformed_transfer_rejects_block_and_moves_nothing():
+    ledger, miner, alice, bob = fresh()
+    ledger.move(alice.address, "pot", 10)
+    to = bob.address.hex()
+    ok = ledger.make_event("transfer", alice.address, {"to": to, "amount": 100})
+    malformed = [
+        {"amount": 1},  # no destination
+        {"to": to},  # no amount
+        {"to": "not hex", "amount": 1},
+        {"to": bob.address, "amount": 1},  # encodes as hex, but is not a string
+        {"to": 7, "amount": 1},
+        {"to": to, "amount": "1"},
+        {"to": to, "amount": [1]},
+    ]
+
+    def snapshot():
+        balances = {a: acct.balance for a, acct in ledger.accounts.items()}
+        return balances, dict(ledger.escrow), list(ledger.chain), ledger._last_mine_tick
+
+    for payload in malformed:
+        bad = ledger.make_event("transfer", alice.address, payload)
+        before = snapshot()
+        with pytest.raises(ProtocolError):
+            mine_block(ledger, miner.address, [ok, bad])  # the valid transfer comes first
+        assert snapshot() == before, payload
+    mine_block(ledger, miner.address, [ok])
+    assert (ledger.balance_of(alice.address), ledger.balance_of(bob.address)) == (890, 600)
+
+
 def test_bad_auth_tag_rejects_block():
     ledger, miner, alice, bob = fresh()
     ev = ledger.make_event("transfer", alice.address, {"to": bob.address.hex(), "amount": 1})

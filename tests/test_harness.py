@@ -179,6 +179,43 @@ def test_verify_report_catches_mangling():
     assert any("identities" in p for p in verify_report(orphaned))
 
 
+def test_verify_report_recomputes_implied_fields():
+    golden = ROOT / "tests" / "golden"
+    for path in sorted(golden.glob("*.json")):
+        assert verify_report(load_report(path)) == [], path.name
+    single = load_report(golden / "honest-small.json")
+    name = single["players"][0]
+    bumped = {name: single["winner_histogram"][name] + 999}
+    for edit, fragment in (
+        ({"chi_square": {**single["chi_square"], "statistic": 0.0}}, "chi_square"),
+        ({"winner_histogram": {**single["winner_histogram"], **bumped}}, "winner_histogram"),
+        ({"winners_per_round": []}, "winners_per_round"),
+    ):
+        assert any(fragment in p for p in verify_report({**single, **edit})), edit
+
+    agg = load_report(golden / "node-attack-naive-3seeds.json")
+    name = agg["players"][0]
+    bumped = {name: agg["winner_histogram"][name] + 999 * agg["rounds_per_seed"]}
+    for edit, fragment in (
+        ({"per_seed": agg["per_seed"][1:]}, "per_seed"),
+        ({"winner_histogram": {**agg["winner_histogram"], **bumped}}, "winner_histogram"),
+        ({"chi_square_pass_count": agg["chi_square_pass_count"] + 1}, "chi_square_pass_count"),
+    ):
+        assert any(fragment in p for p in verify_report({**agg, **edit})), edit
+
+    # a recompute that cannot run is a problem, not a raise
+    crowd = [f"p{i}" for i in range(70)]  # 69 degrees of freedom: past the table
+    wide = {
+        **single,
+        "players": crowd,
+        "identities": dict.fromkeys(crowd, "00"),
+        "winner_histogram": dict.fromkeys(crowd, 1),
+    }
+    assert any("cannot recompute" in p for p in verify_report(wide))
+    for edit in ({"rounds": "20"}, {"winners_per_round": None}):
+        assert any("cannot recompute" in p for p in verify_report({**single, **edit})), edit
+
+
 def test_broke_player_is_rejected_but_run_completes():
     sc = parse_scenario(
         """

@@ -1,14 +1,18 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from delottery_sim import (
+    LotteryConfig,
     NodeAttackerSpec,
+    PlayerSpec,
     ScenarioError,
     SybilAttackerSpec,
     load_scenario,
     parse_scenario,
 )
+from delottery_sim.scenario import _CONFIG_KEYS, _NODE_KEYS, _PLAYER_KEYS, _SYBIL_KEYS
 
 MINIMAL = "[player]\nseed_material = alice\n"
 
@@ -44,7 +48,6 @@ def test_global_keys_and_value_syntax():
         winning_draws = 2
         pool_mode = literal
         pow_difficulty_bits = 250
-        cert_eviction = oldest
         [player]
         seed_material = alice
         """
@@ -60,7 +63,6 @@ def test_global_keys_and_value_syntax():
     assert (cfg.guess_space_size, cfg.winning_draws) == (16, 2)
     assert cfg.pool_mode == "literal"
     assert cfg.pow_difficulty == 1 << 250
-    assert cfg.cert_eviction == "oldest"
 
 
 def test_comments_and_blank_lines():
@@ -152,12 +154,24 @@ def test_sybil_attacker_section():
         (MINIMAL + "[player]\nseed_material = alice\n", "distinct"),
         ("security_factor = 2\n" + MINIMAL, "security_factor"),
         ("pow_difficulty_bits = 0\n" + MINIMAL, "pow_difficulty_bits"),
+        ("name = x\ncert_eviction = recent\n" + MINIMAL, "line 2"),  # the key is gone
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert fragment in str(err.value)
+
+
+def test_key_tables_match_the_objects_they_build():
+    # a field dropped from a spec or config must leave its table too, or a
+    # file setting that key fails inside the constructor, not with its line
+    names = lambda cls: {f.name for f in fields(cls)}
+    assert set(_PLAYER_KEYS) == names(PlayerSpec)
+    assert set(_NODE_KEYS) == names(NodeAttackerSpec)
+    assert set(_SYBIL_KEYS) == names(SybilAttackerSpec)
+    config_keys = {"pow_difficulty" if k == "pow_difficulty_bits" else k for k in _CONFIG_KEYS}
+    assert config_keys == names(LotteryConfig)
 
 
 def test_error_line_numbers_are_exact():
