@@ -14,7 +14,6 @@ from delottery_sim import (
     Ledger,
     LotteryConfig,
     MAX_TARGET,
-    SybilAttacker,
     create_account,
     deploy,
     sybil_admission_trial,
@@ -28,8 +27,7 @@ def admission_cost(difficulty_bits: int, policy: str, fakes: int = 200) -> tuple
     host = create_account(ledger, b"host", 10**9).address
     state = deploy(ledger, host, cfg)
     controller = create_account(ledger, b"controller", 0).address
-    attacker = SybilAttacker(controller, fakes, budget=10**9)
-    spawned = sybil_spawn(ledger, attacker, fakes)
+    spawned = sybil_spawn(ledger, controller, fakes)
     return sybil_admission_trial(state, spawned, policy, pow_budget=10**9)
 
 

@@ -20,7 +20,6 @@ from .adversary import (
     MODE_NAIVE,
     NodeAttacker,
     RoundOutcome,
-    SybilAttacker,
     bounded_pow,
     node_attack_filter,
     run_commit_reveal_mode_round,

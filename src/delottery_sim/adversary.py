@@ -9,11 +9,13 @@ and re-mined next tick by a freshly sampled proposer. Under commit-reveal
 randomness the same node can still delay inclusion, but the winning set
 is fixed by the finalized round output, so withholding buys nothing.
 
-The favorability predicate defaults to intersection (any winning share is
-a prize worth publishing): include iff g intersects W. The stricter
-subset rule (include only when every attacker guess wins) is available as
-a flag; an attacker with no shares withholds everything under either
-rule.
+The guesses g the node grinds for are the ones its colluding player
+actually bought this round, read off that player's lottery record. The
+favorability predicate defaults to intersection (any winning share is a
+prize worth publishing): include iff g intersects W. The stricter subset
+rule (include only when every guess wins) is available as a flag. A
+colluder that bought nothing gives the node nothing to grind for, so the
+draw goes through unwithheld.
 
 The Sybil attack floods admission with fake identities derived from one
 controller secret and distinct salts. Each admission attempt pays its
@@ -62,8 +64,7 @@ class NodeAttacker:
     """A block-proposing node colluding with one enrolled player."""
 
     address: bytes
-    colluder: bytes
-    guesses: list
+    colluder: bytes  # the player whose bought guesses the node grinds for
     mining_share: Fraction
     subset_rule: bool = False
     futility_cap: int = 16  # commit-reveal mode: stop stalling after this many blocks
@@ -72,13 +73,6 @@ class NodeAttacker:
         self.mining_share = Fraction(self.mining_share)
         if not 0 <= self.mining_share <= 1:
             raise ProtocolError("mining_share must lie in [0, 1]")
-
-
-@dataclass
-class SybilAttacker:
-    controller: bytes
-    fake_count: int
-    budget: int
 
 
 @dataclass(slots=True)
@@ -136,9 +130,8 @@ def _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap) -
             and _proposer_is_attacker(attacker, stream)
         ):
             miner = attacker.address
-            kept = node_attack_filter(
-                [], event, attacker.guesses, winners_if(event), attacker.subset_rule
-            )
+            guesses = state.players[attacker.colluder].guesses
+            kept = node_attack_filter([], event, guesses, winners_if(event), attacker.subset_rule)
             if not kept:
                 mine_block(ledger, miner, [])  # withhold: slot ships empty
                 ledger.advance_clock()
@@ -172,7 +165,7 @@ def run_naive_mode_round(
     ledger = state.ledger
     height, clock, last_mine_tick = len(ledger.chain), ledger.clock, ledger._last_mine_tick
     winners_if = None
-    if attacker is not None and attacker.guesses:
+    if attacker is not None and state.players[attacker.colluder].guesses:
         def winners_if(event):
             candidate = preview_block(ledger, [event], attacker.address)
             return lottery.derive_winners(
@@ -206,7 +199,7 @@ def run_commit_reveal_mode_round(
     cfg = state.config
     winners_if = None
     cap = 0
-    if attacker is not None and attacker.guesses:
+    if attacker is not None and state.players[attacker.colluder].guesses:
         output = randao.peek_output(state.round, excluded=frozenset(state.banned))
         if output is not None:
             fixed_w = lottery.derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
@@ -221,16 +214,14 @@ def sybil_seed_material(controller_secret: bytes, salt: int) -> bytes:
     return controller_secret + b"/sybil/" + le8(salt)
 
 
-def sybil_spawn(ledger: Ledger, attacker: SybilAttacker, n: int, start_salt: int = 0) -> list:
-    """Derive n fake identities from the controller secret and distinct salts.
+def sybil_spawn(ledger: Ledger, controller: bytes, n: int, start_salt: int = 0) -> list:
+    """Derive n fake identities from the controller account's secret, one per salt from start_salt.
 
     Spawning is deterministic: the same salt always yields the same
     address, and re-spawning an existing salt returns the registered
     account rather than failing.
     """
-    if n > attacker.fake_count:
-        raise ProtocolError(f"attacker declared only {attacker.fake_count} fakes")
-    secret = ledger.account(attacker.controller).secret
+    secret = ledger.account(controller).secret
     fakes = []
     for salt in range(start_salt, start_salt + n):
         material = sybil_seed_material(secret, salt)

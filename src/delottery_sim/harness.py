@@ -28,7 +28,6 @@ from .adversary import (
     MODE_COMMIT_REVEAL,
     MODE_NAIVE,
     NodeAttacker,
-    SybilAttacker,
     run_commit_reveal_mode_round,
     run_naive_mode_round,
     sybil_admission_trial,
@@ -51,14 +50,7 @@ from .lottery import (
     winning_share_count,
 )
 from .prng import Stream
-from .scenario import (
-    NodeAttackerSpec,
-    PlayerSpec,
-    STRATEGY_FIXED,
-    STRATEGY_UNIFORM,
-    Scenario,
-    SybilAttackerSpec,
-)
+from .scenario import NodeAttackerSpec, PlayerSpec, STRATEGY_FIXED, Scenario, SybilAttackerSpec
 
 SCHEMA = "delottery-sim/report/v1"
 
@@ -117,15 +109,14 @@ def _upload(state: LotteryState, entry: _Entry, seed: int, r: int) -> int:
     return key
 
 
-def _bet(state: LotteryState, entry: _Entry, seed: int, r: int) -> list:
+def _bet(state: LotteryState, entry: _Entry, seed: int, r: int) -> None:
     spec = entry.spec
     if spec.guess_strategy == STRATEGY_FIXED:
-        guesses = list(spec.guesses)
+        guesses = spec.guesses
     else:
         stream = Stream(seed, r, b"guess/" + entry.name.encode())
         guesses = [stream.below(state.config.guess_space_size) for _ in range(spec.shares)]
     buy_shares(state, entry.address, guesses)
-    return guesses
 
 
 def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
@@ -137,27 +128,21 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
 
     roster = [_enroll(ledger, spec) for spec in sc.players]
     node_attacker = None
-    sybil_attacker = None
     sybil = None
     a = sc.attacker
     if isinstance(a, NodeAttackerSpec):
         # the colluder plays as the last roster entry
-        strategy = STRATEGY_FIXED if a.guesses else STRATEGY_UNIFORM
-        colluder = PlayerSpec(
-            a.seed_material, a.balance, a.shares, strategy, list(a.guesses), a.reveals
-        )
-        roster.append(_enroll(ledger, colluder))
+        roster.append(_enroll(ledger, a.colluder()))
         node_acct = create_account(
             ledger, _ATTACKER_NODE_PREFIX + a.seed_material.encode(), 0,
             is_transaction_node=True,
         )
         node_attacker = NodeAttacker(
-            node_acct.address, roster[-1].address, [], a.mining_share,
+            node_acct.address, roster[-1].address, a.mining_share,
             subset_rule=a.subset_rule, futility_cap=a.futility_cap,
         )
     elif isinstance(a, SybilAttackerSpec):
         controller = create_account(ledger, a.seed_material.encode(), 0).address
-        sybil_attacker = SybilAttacker(controller, a.fake_count, a.budget)
         sybil = {
             "sybil_admitted": 0,
             "sybil_spend": 0,
@@ -177,12 +162,10 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
         for entry in roster[1:]:
             proof = solve_pow(admission_challenge(state, entry.address), cfg.pow_difficulty)
             add_player(state, entry.address, proof, set(state.active_certifiers))
-        if sybil_attacker is not None:
-            n = sybil_attacker.fake_count
-            fakes = sybil_spawn(ledger, sybil_attacker, n, start_salt=r * n)
-            admitted, spent = sybil_admission_trial(
-                state, fakes, sybil["certifier_policy"], sybil_attacker.budget
-            )
+        if sybil is not None:
+            n = a.fake_count
+            fakes = sybil_spawn(ledger, controller, n, start_salt=r * n)
+            admitted, spent = sybil_admission_trial(state, fakes, a.certifier_policy, a.budget)
             sybil["sybil_admitted"] += admitted
             sybil["sybil_spend"] += spent
             for fake in fakes:
@@ -198,9 +181,7 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
         _tick_through(ledger, miner, state.round.commit_deadline)
 
         begin_betting(state)
-        bets = _each_player(roster, "bet", lambda e: _bet(state, e, seed, r), r, rejections)
-        if node_attacker is not None:
-            node_attacker.guesses = bets.get(roster[-1].address, [])
+        _each_player(roster, "bet", lambda e: _bet(state, e, seed, r), r, rejections)
         _tick_through(ledger, miner, state.betting_close)
 
         enter_buffer(state)
@@ -460,6 +441,30 @@ _AGGREGATE_KEYS = (
 )
 
 
+# what each field the checks below read must hold: (type, item type, label).
+# A field of another type is a reported problem, never an exception.
+_FIELD_TYPES = {
+    "conservation_residual": (int, None, "an integer"),
+    "residuals_zero": (bool, None, "true or false"),
+    "failing": (bool, None, "true or false"),
+    "per_seed": (list, dict, "an array of objects"),
+    "players": (list, str, "an array of strings"),
+    "identities": (dict, None, "an object"),
+    "winner_histogram": (dict, None, "an object"),
+}
+
+
+def _type_problems(data: dict, keys) -> list:
+    problems = []
+    for key in keys:
+        if key in _FIELD_TYPES:
+            want, item, label = _FIELD_TYPES[key]
+            value = data[key]
+            if type(value) is not want or (item and not all(isinstance(x, item) for x in value)):
+                problems.append(f"{key} must be {label}, got {value!r:.60}")
+    return problems
+
+
 def verify_report(data: dict) -> list:
     """Re-check schema, conservation and implied fields; returns failure strings."""
     problems = []
@@ -477,6 +482,9 @@ def verify_report(data: dict) -> list:
     for key in expected:
         if key not in data:
             problems.append(f"missing key {key!r}")
+    if problems:
+        return problems
+    problems = _type_problems(data, expected)
     if problems:
         return problems
     if kind == "single":

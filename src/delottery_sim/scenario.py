@@ -13,21 +13,18 @@ parser has no ambiguity to resolve:
     kind = node
     mining_share = 3/10
 
-Global keys: name, rounds, base_seed, rng_mode, and the lottery config
-knobs (share_price, security_factor, cert_cap, bet_duration,
-buffer_duration, guess_space_size, winning_draws, pool_mode,
-pow_difficulty_bits). Player keys: seed_material, balance, shares,
-guess_strategy (uniform | fixed), guesses (comma list, fixed strategy
-only), reveals (yes | no). Attacker keys depend on kind:
-node takes seed_material, balance, mining_share, shares, guesses,
-subset_rule, futility_cap, reveals; sybil takes seed_material,
-fake_count, budget, certifier_policy (honest-refuse | rubberstamp).
+Each section's keys are the fields of the object it builds: the global
+section fills Scenario's name, rounds, base_seed and rng_mode and the
+LotteryConfig knobs, a [player] section a PlayerSpec, and an [attacker]
+section the NodeAttackerSpec or SybilAttackerSpec its kind (node, the
+default, or sybil) picks. docs/scenario-format.md tables every key with
+its default and meaning.
 
 Every parse or validation failure names the offending line or field.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .adversary import CERT_HONEST_REFUSE, CERT_RUBBERSTAMP, MODE_NAIVE, RNG_MODES, NodeAttacker
@@ -60,7 +57,14 @@ class NodeAttackerSpec:
     subset_rule: bool = False
     futility_cap: int = NodeAttacker.futility_cap
     reveals: bool = True
-    kind: str = "node"
+
+    def colluder(self) -> PlayerSpec:
+        """The player the node colludes with: fixed guesses when any are listed, else uniform."""
+        strategy = STRATEGY_FIXED if self.guesses else STRATEGY_UNIFORM
+        return PlayerSpec(
+            self.seed_material, self.balance, self.shares, strategy, list(self.guesses),
+            self.reveals,
+        )
 
 
 @dataclass
@@ -69,7 +73,6 @@ class SybilAttackerSpec:
     fake_count: int = 10
     budget: int = 1_000_000
     certifier_policy: str = CERT_HONEST_REFUSE
-    kind: str = "sybil"
 
 
 @dataclass
@@ -125,55 +128,34 @@ def _parse_difficulty_bits(raw: str, line_no: int, key: str) -> int:
     return 1 << bits
 
 
-# key -> parser, one table per section. A section's keys are the fields of
-# the object it builds, so each default is stated once, on that object;
-# pow_difficulty_bits is the one key that renames its field.
-_SCENARIO_KEYS = {
-    "name": _str_value,
-    "rounds": _parse_int,
-    "base_seed": _parse_int,
-    "rng_mode": _str_value,
+_PARSERS = {
+    str: _str_value,
+    int: _parse_int,
+    Fraction: _parse_fraction,
+    bool: _parse_bool,
+    list: _parse_int_list,
 }
-_CONFIG_KEYS = {
-    "share_price": _parse_int,
-    "security_factor": _parse_fraction,
-    "cert_cap": _parse_int,
-    "bet_duration": _parse_int,
-    "buffer_duration": _parse_int,
-    "guess_space_size": _parse_int,
-    "winning_draws": _parse_int,
-    "pool_mode": _str_value,
-    "pow_difficulty_bits": _parse_difficulty_bits,
-}
-_PLAYER_KEYS = {
-    "seed_material": _str_value,
-    "balance": _parse_int,
-    "shares": _parse_int,
-    "guess_strategy": _str_value,
-    "guesses": _parse_int_list,
-    "reveals": _parse_bool,
-}
-_NODE_KEYS = {
-    "kind": _str_value,
-    "seed_material": _str_value,
-    "balance": _parse_int,
-    "mining_share": _parse_fraction,
-    "shares": _parse_int,
-    "guesses": _parse_int_list,
-    "subset_rule": _parse_bool,
-    "futility_cap": _parse_int,
-    "reveals": _parse_bool,
-}
-_SYBIL_KEYS = {
-    "kind": _str_value,
-    "seed_material": _str_value,
-    "fake_count": _parse_int,
-    "budget": _parse_int,
-    "certifier_policy": _str_value,
-}
+
+
+def _keys(cls, skip=()) -> dict:
+    """key -> parser for each field of cls not in skip, chosen by the field's type."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# One key table per section, read off the fields of the object the section
+# builds, so each key, type and default is stated once, on that object.
+# pow_difficulty_bits is the one key that renames its field; kind, which
+# picks the attacker's spec, is the one key with no field.
+_SCENARIO_KEYS = _keys(Scenario, skip=("config", "players", "attacker"))
+_NODE_KEYS = {"kind": _str_value, **_keys(NodeAttackerSpec)}
+_SYBIL_KEYS = {"kind": _str_value, **_keys(SybilAttackerSpec)}
 _SECTION_KEYS = {
-    "global": {**_SCENARIO_KEYS, **_CONFIG_KEYS},
-    "player": _PLAYER_KEYS,
+    "global": {
+        **_SCENARIO_KEYS,
+        **_keys(LotteryConfig, skip=("pow_difficulty",)),
+        "pow_difficulty_bits": _parse_difficulty_bits,
+    },
+    "player": _keys(PlayerSpec),
     "attacker": {**_NODE_KEYS, **_SYBIL_KEYS},
 }
 
@@ -242,14 +224,14 @@ def _build_scenario(top, players, attacker, default_name) -> Scenario:
 
 
 def _build_player(section: dict, index: int) -> PlayerSpec:
-    fields = _values(section)
-    fields.setdefault("seed_material", f"player-{index}")
-    return PlayerSpec(**fields)
+    values = _values(section)
+    values.setdefault("seed_material", f"player-{index}")
+    return PlayerSpec(**values)
 
 
 def _build_attacker(section: dict):
     # node and sybil keys share one section table; each kind takes only its own
-    kind = section.get("kind", ("node", None))[0]
+    kind = section.pop("kind", ("node", None))[0]
     specs = {"node": (NodeAttackerSpec, _NODE_KEYS), "sybil": (SybilAttackerSpec, _SYBIL_KEYS)}
     if kind not in specs:
         raise ScenarioError(f"attacker kind must be node or sybil, got {kind!r}")
@@ -278,15 +260,16 @@ def validate_scenario(sc: Scenario) -> None:
     if dupes:
         raise ScenarioError(f"seed_material values must be distinct: {sorted(dupes)}")
 
-    def check_bets(label: str, strategy: str, guesses: list, shares: int) -> None:
-        if strategy not in (STRATEGY_UNIFORM, STRATEGY_FIXED):
+    def check_bets(p: PlayerSpec) -> None:
+        label, guesses = p.seed_material, p.guesses
+        if p.guess_strategy not in (STRATEGY_UNIFORM, STRATEGY_FIXED):
             raise ScenarioError(f"{label}: guess_strategy must be uniform or fixed")
-        if strategy == STRATEGY_FIXED:
+        if p.guess_strategy == STRATEGY_FIXED:
             if not guesses:
                 raise ScenarioError(f"{label}: fixed strategy needs a guesses list")
-            if len(guesses) != shares:
+            if len(guesses) != p.shares:
                 raise ScenarioError(
-                    f"{label}: fixed strategy lists {len(guesses)} guesses for {shares} shares"
+                    f"{label}: fixed strategy lists {len(guesses)} guesses for {p.shares} shares"
                 )
         elif guesses:
             raise ScenarioError(f"{label}: guesses list requires guess_strategy = fixed")
@@ -295,17 +278,16 @@ def validate_scenario(sc: Scenario) -> None:
                 raise ScenarioError(
                     f"{label}: guess {g} outside [0, {cfg.guess_space_size})"
                 )
-        if shares < 0:
+        if p.shares < 0:
             raise ScenarioError(f"{label}: shares must be >= 0")
 
     for p in sc.players:
-        check_bets(p.seed_material, p.guess_strategy, p.guesses, p.shares)
+        check_bets(p)
         if p.balance < 0:
             raise ScenarioError(f"{p.seed_material}: balance must be >= 0")
     atk = sc.attacker
     if isinstance(atk, NodeAttackerSpec):
-        strategy = STRATEGY_FIXED if atk.guesses else STRATEGY_UNIFORM
-        check_bets(atk.seed_material, strategy, atk.guesses, atk.shares)
+        check_bets(atk.colluder())
         if not 0 <= atk.mining_share <= 1:
             raise ScenarioError("mining_share must lie in [0, 1]")
         if atk.futility_cap < 0:

@@ -23,7 +23,6 @@ from delottery_sim import (
     LotteryConfig,
     MAX_TARGET,
     Stream,
-    SybilAttacker,
     add_player,
     admission_challenge,
     begin_betting,
@@ -285,12 +284,11 @@ def _sybil_spend(target: int, policy: str, trials: int) -> tuple:
     cfg = LotteryConfig(pow_difficulty=target)
     host = create_account(ledger, b"sybil-host", 10**9).address
     controller = create_account(ledger, b"sybil-ctl", 0).address
-    attacker = SybilAttacker(controller, trials, budget=10**9)
     admitted_total = spent_total = 0
     batch = 100
     for i in range(trials // batch):
         state = deploy(ledger, host, cfg)
-        fakes = sybil_spawn(ledger, attacker, batch, start_salt=i * batch)
+        fakes = sybil_spawn(ledger, controller, batch, start_salt=i * batch)
         admitted, spent = sybil_admission_trial(state, fakes, policy, 10**9)
         admitted_total += admitted
         spent_total += spent

@@ -12,7 +12,6 @@ from delottery_sim import (
     NodeAttacker,
     ProtocolError,
     Stream,
-    SybilAttacker,
     add_player,
     admission_challenge,
     begin_betting,
@@ -68,14 +67,14 @@ def test_filter_does_not_mutate_inputs():
 
 
 def test_attacker_mining_share_validation():
-    NodeAttacker(b"\x01" * 32, b"\x02" * 32, [], Fraction(0))
-    NodeAttacker(b"\x01" * 32, b"\x02" * 32, [], 1)
-    a = NodeAttacker(b"\x01" * 32, b"\x02" * 32, [], "3/10")
+    NodeAttacker(b"\x01" * 32, b"\x02" * 32, Fraction(0))
+    NodeAttacker(b"\x01" * 32, b"\x02" * 32, 1)
+    a = NodeAttacker(b"\x01" * 32, b"\x02" * 32, "3/10")
     assert a.mining_share == Fraction(3, 10)
     with pytest.raises(ProtocolError):
-        NodeAttacker(b"\x01" * 32, b"\x02" * 32, [], Fraction(11, 10))
+        NodeAttacker(b"\x01" * 32, b"\x02" * 32, Fraction(11, 10))
     with pytest.raises(ProtocolError):
-        NodeAttacker(b"\x01" * 32, b"\x02" * 32, [], -1)
+        NodeAttacker(b"\x01" * 32, b"\x02" * 32, -1)
 
 
 # --- withholding in a live round -----------------------------------------
@@ -114,7 +113,7 @@ def drive_to_draw(mode, colluder_guesses, space=4, uploads=False):
 
 def test_naive_full_share_attacker_always_wins():
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [2])
-    attacker = NodeAttacker(atk_node, addrs[1], [2], Fraction(1))
+    attacker = NodeAttacker(atk_node, addrs[1], Fraction(1))
     outcome = run_naive_mode_round(
         state, attacker, miner, Stream(7, 0, "proposer"), addrs[0]
     )
@@ -132,7 +131,7 @@ def test_naive_impossible_draw_hits_retry_limit(monkeypatch):
     # subset rule with two guesses and one winning draw: nothing is favorable
     monkeypatch.setattr(adversary, "NAIVE_RETRY_LIMIT", 3)
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [0, 1])
-    attacker = NodeAttacker(atk_node, addrs[1], [0, 1], Fraction(1), subset_rule=True)
+    attacker = NodeAttacker(atk_node, addrs[1], Fraction(1), subset_rule=True)
     chain, clock = list(ledger.chain), ledger.clock
     with pytest.raises(ProtocolError, match="never found a favorable draw"):
         run_naive_mode_round(state, attacker, miner, Stream(7, 0, "proposer"), addrs[0])
@@ -142,7 +141,7 @@ def test_naive_impossible_draw_hits_retry_limit(monkeypatch):
 
 def test_naive_zero_share_attacker_never_withholds():
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [2])
-    attacker = NodeAttacker(atk_node, addrs[1], [2], Fraction(0))
+    attacker = NodeAttacker(atk_node, addrs[1], Fraction(0))
     outcome = run_naive_mode_round(
         state, attacker, miner, Stream(7, 0, "proposer"), addrs[0]
     )
@@ -151,7 +150,7 @@ def test_naive_zero_share_attacker_never_withholds():
 
 def test_naive_no_guesses_no_stall():
     ledger, state, miner, atk_node, addrs = drive_to_draw("naive", [])
-    attacker = NodeAttacker(atk_node, addrs[1], [], Fraction(1))
+    attacker = NodeAttacker(atk_node, addrs[1], Fraction(1))
     outcome = run_naive_mode_round(
         state, attacker, miner, Stream(7, 0, "proposer"), addrs[0]
     )
@@ -186,17 +185,22 @@ def test_naive_draw_refunds_uploaded_deposits():
     assert ledger.conservation_residual() == 0
 
 
+def fixed_winners(state):
+    cfg = state.config
+    return derive_winners(peek_output(state.round), cfg.winning_draws, cfg.guess_space_size)
+
+
 def test_commit_reveal_withholding_cannot_change_winners():
-    # two identical setups; the attacked one only stalls, never redraws
+    # two identical setups; the attacked one only stalls, never redraws.
+    # The drive is deterministic, so a first drive tells the colluder
+    # which guess the reveals already rule out, and it buys that one.
+    fixed = fixed_winners(drive_to_draw("commit-reveal", [2])[1])
+    losing = [g for g in range(4) if g not in fixed][:1]
     results = []
     for share in (Fraction(0), Fraction(1)):
-        ledger, state, miner, atk_node, addrs = drive_to_draw("commit-reveal", [2])
-        fixed = derive_winners(
-            peek_output(state.round), state.config.winning_draws,
-            state.config.guess_space_size,
-        )
-        losing = [g for g in range(4) if g not in fixed][:1]
-        attacker = NodeAttacker(atk_node, addrs[1], losing, share, futility_cap=5)
+        ledger, state, miner, atk_node, addrs = drive_to_draw("commit-reveal", losing)
+        fixed = fixed_winners(state)
+        attacker = NodeAttacker(atk_node, addrs[1], share, futility_cap=5)
         outcome = run_commit_reveal_mode_round(
             state, attacker, miner, Stream(9, 0, "proposer"), addrs[0]
         )
@@ -209,12 +213,11 @@ def test_commit_reveal_withholding_cannot_change_winners():
 
 
 def test_commit_reveal_favorable_draw_included_immediately():
-    ledger, state, miner, atk_node, addrs = drive_to_draw("commit-reveal", [2])
-    fixed = derive_winners(
-        peek_output(state.round), state.config.winning_draws,
-        state.config.guess_space_size,
-    )
-    attacker = NodeAttacker(atk_node, addrs[1], sorted(fixed), Fraction(1))
+    # a first drive learns the fixed winners; in the second the colluder bets on them
+    fixed = fixed_winners(drive_to_draw("commit-reveal", [2])[1])
+    ledger, state, miner, atk_node, addrs = drive_to_draw("commit-reveal", sorted(fixed))
+    assert fixed_winners(state) == fixed
+    attacker = NodeAttacker(atk_node, addrs[1], Fraction(1))
     outcome = run_commit_reveal_mode_round(
         state, attacker, miner, Stream(9, 0, "proposer"), addrs[0]
     )
@@ -231,24 +234,20 @@ def sybil_fixture(policy, difficulty, budget, fake_count=6):
     host = create_account(ledger, b"host", 10**9).address
     state = deploy(ledger, host, cfg)
     controller = create_account(ledger, b"controller", 0).address
-    attacker = SybilAttacker(controller, fake_count, budget)
-    fakes = sybil_spawn(ledger, attacker, fake_count)
+    fakes = sybil_spawn(ledger, controller, fake_count)
     admitted, spent = sybil_admission_trial(state, fakes, policy, budget)
-    return state, attacker, fakes, admitted, spent
+    return state, controller, fakes, admitted, spent
 
 
 def test_sybil_spawn_is_deterministic_and_idempotent():
     ledger = Ledger()
     controller = create_account(ledger, b"c", 0).address
-    attacker = SybilAttacker(controller, 4, 100)
-    first = sybil_spawn(ledger, attacker, 3)
-    again = sybil_spawn(ledger, attacker, 3)
+    first = sybil_spawn(ledger, controller, 3)
+    again = sybil_spawn(ledger, controller, 3)
     assert first == again
     assert len(set(first)) == 3
-    shifted = sybil_spawn(ledger, attacker, 2, start_salt=10)
+    shifted = sybil_spawn(ledger, controller, 2, start_salt=10)
     assert set(shifted).isdisjoint(first)
-    with pytest.raises(ProtocolError):
-        sybil_spawn(ledger, attacker, 5)  # more than the declared fake count
 
 
 def test_bounded_pow_budget_exhaustion():
@@ -275,7 +274,7 @@ def test_bounded_pow_matches_unbounded_solver():
 
 
 def test_honest_certifiers_admit_nothing_but_spend_happens():
-    state, attacker, fakes, admitted, spent = sybil_fixture(
+    state, _, fakes, admitted, spent = sybil_fixture(
         CERT_HONEST_REFUSE, MAX_TARGET, budget=1000
     )
     assert admitted == 0
@@ -284,7 +283,7 @@ def test_honest_certifiers_admit_nothing_but_spend_happens():
 
 
 def test_rubberstamp_admits_until_budget_gone():
-    state, attacker, fakes, admitted, spent = sybil_fixture(
+    state, _, fakes, admitted, spent = sybil_fixture(
         CERT_RUBBERSTAMP, MAX_TARGET, budget=1000
     )
     assert admitted == len(fakes)
@@ -308,6 +307,6 @@ def test_sybil_spend_scales_with_difficulty():
 
 
 def test_unknown_certifier_policy_rejected():
-    state, attacker, fakes, *_ = sybil_fixture(CERT_RUBBERSTAMP, MAX_TARGET, 10)
+    state, _, fakes, *_ = sybil_fixture(CERT_RUBBERSTAMP, MAX_TARGET, 10)
     with pytest.raises(ProtocolError):
         sybil_admission_trial(state, [], "bribe", 10)

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from delottery_sim.cli import main
 from delottery_sim.harness import load_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SCENARIO = """
 name = cli-check
@@ -51,6 +54,16 @@ def test_verify_rejects_tampered_report(scenario_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
     assert "check failed" in capsys.readouterr().err
+
+
+def test_verify_mistyped_report_fails_checks(tmp_path, capsys):
+    # a wrong-typed field is a failed check, not a traceback
+    data = load_report(GOLDEN / "sybil-3seeds.json")
+    out = tmp_path / "mistyped.json"
+    out.write_text(json.dumps({**data, "players": None, "per_seed": [1, 2, 3]}))
+    assert main(["verify", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "check failed: players" in err and "check failed: per_seed" in err
 
 
 def test_verify_missing_report_is_usage_error(tmp_path, capsys):

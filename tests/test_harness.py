@@ -15,6 +15,7 @@ from delottery_sim import (
     run_once,
     verify_report,
 )
+from delottery_sim.cli import main
 from delottery_sim.harness import _AGGREGATE_KEYS, _SINGLE_KEYS, SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,18 +110,30 @@ def test_aggregate_report_matches_golden(scenario):
     assert report_json_bytes(run_many(sc, 3)) == golden.read_bytes()
 
 
-def test_fault_hook_breaks_conservation_and_flags_report():
-    def hook(ledger, round_index):
-        ledger.fee_sink += 1  # money from nowhere
+def mint(ledger, round_index):
+    ledger.fee_sink += 1  # money from nowhere
 
-    rep = run_once(TWO_PLAYERS, seed=1, fault_hook=hook)
-    assert rep.data["conservation_residual"] != 0
-    assert any("residual" in p for p in verify_report(rep.data))
 
-    agg = run_many(TWO_PLAYERS, 2, fault_hook=hook)
-    assert agg.data["failing"] is True
-    assert agg.data["residuals_zero"] is False
-    assert any("failing" in p for p in verify_report(agg.data))
+def burn(ledger, round_index):
+    max(ledger.accounts.values(), key=lambda a: a.balance).balance -= 1  # money gone
+
+
+def test_fault_hook_breaks_conservation_and_flags_report(tmp_path, capsys):
+    for hook in (mint, burn):
+        rep = run_once(TWO_PLAYERS, seed=1, fault_hook=hook)
+        assert rep.data["conservation_residual"] != 0
+        assert any("residual" in p for p in verify_report(rep.data))
+
+        agg = run_many(TWO_PLAYERS, 2, fault_hook=hook)
+        assert agg.data["failing"] is True
+        assert agg.data["residuals_zero"] is False
+        assert any("failing" in p for p in verify_report(agg.data))
+
+        for report in (rep, agg):
+            path = tmp_path / f"{hook.__name__}-{report.data['kind']}.json"
+            emit_report(report, path)
+            assert main(["verify", "--report", str(path)]) == 1, path.name
+            assert "check failed: " in capsys.readouterr().err
 
 
 def test_emit_and_load_round_trip(tmp_path):
@@ -214,6 +227,63 @@ def test_verify_report_recomputes_implied_fields():
     assert any("cannot recompute" in p for p in verify_report(wide))
     for edit in ({"rounds": "20"}, {"winners_per_round": None}):
         assert any("cannot recompute" in p for p in verify_report({**single, **edit})), edit
+
+
+# the fields verify_report reads, by report kind
+_READ = {
+    "honest-small.json": (
+        "schema", "kind", "conservation_residual", "players", "identities",
+        "winner_histogram", "winners_per_round", "rounds", "chi_square",
+    ),
+    "sybil-3seeds.json": (
+        "schema", "kind", "residuals_zero", "per_seed", "failing", "players",
+        "identities", "winner_histogram", "n_seeds", "rounds_per_seed",
+        "chi_square_pass_count",
+    ),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(_READ))
+def test_verify_report_flags_mistyped_fields_without_raising(golden):
+    good = load_report(ROOT / "tests" / "golden" / golden)
+    for key in _READ[golden]:
+        for bad in (None, 0, "x", [], {}):
+            problems = verify_report({**good, key: bad})
+            assert all(isinstance(p, str) for p in problems), (key, bad)
+            if type(bad) is not type(good[key]):
+                assert problems, (key, bad)
+    if "per_seed" in good:
+        for row in (1, "x", None, []):
+            rows = [row] * len(good["per_seed"])
+            assert any("per_seed" in p for p in verify_report({**good, "per_seed": rows}))
+
+
+def test_colluder_whose_bet_is_rejected_never_withholds():
+    # the colluder cannot afford a share, so the node has nothing to grind for
+    sc = parse_scenario(
+        """
+        name = broke-colluder
+        rounds = 4
+        [player]
+        seed_material = alice
+        [player]
+        seed_material = bob
+        [attacker]
+        kind = node
+        seed_material = mallory
+        mining_share = 1
+        guesses = 3
+        balance = 5
+        """
+    )
+    for mode in ("naive", "commit-reveal"):
+        sc.rng_mode = mode
+        d = run_once(sc, seed=2).data
+        assert d["attack"]["withhold_count"] == 0, mode
+        assert d["attack"]["attacker_wins"] == 0, mode
+        for r in range(sc.rounds):
+            assert any(j.startswith(f"round {r}: bet mallory: ") for j in d["rejections"]), mode
+        assert d["conservation_residual"] == 0
 
 
 def test_broke_player_is_rejected_but_run_completes():

@@ -1,18 +1,18 @@
-from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from delottery_sim import (
-    LotteryConfig,
     NodeAttackerSpec,
-    PlayerSpec,
     ScenarioError,
     SybilAttackerSpec,
     load_scenario,
     parse_scenario,
 )
-from delottery_sim.scenario import _CONFIG_KEYS, _NODE_KEYS, _PLAYER_KEYS, _SYBIL_KEYS
+from delottery_sim.scenario import _NODE_KEYS, _SECTION_KEYS, _SYBIL_KEYS
+
+FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
 
 MINIMAL = "[player]\nseed_material = alice\n"
 
@@ -163,15 +163,29 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_key_tables_match_the_objects_they_build():
-    # a field dropped from a spec or config must leave its table too, or a
-    # file setting that key fails inside the constructor, not with its line
-    names = lambda cls: {f.name for f in fields(cls)}
-    assert set(_PLAYER_KEYS) == names(PlayerSpec)
-    assert set(_NODE_KEYS) == names(NodeAttackerSpec)
-    assert set(_SYBIL_KEYS) == names(SybilAttackerSpec)
-    config_keys = {"pow_difficulty" if k == "pow_difficulty_bits" else k for k in _CONFIG_KEYS}
-    assert config_keys == names(LotteryConfig)
+def documented_keys() -> dict:
+    """Keys of each table in the format doc, by the heading or `kind = ...` line above it."""
+    tables: dict = {}
+    label = None
+    for line in FORMAT_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            label = line[3:]
+        elif line.startswith("`kind = "):
+            label = line.split("`")[1]
+        elif line.startswith("| `"):
+            tables.setdefault(label, set()).add(line.split("`")[1])
+    return tables
+
+
+def test_format_doc_tables_every_key_the_parser_accepts():
+    # the doc is the one hand-written key list; the parser reads its keys
+    # off the fields of the objects each section builds
+    assert documented_keys() == {
+        "Global keys": set(_SECTION_KEYS["global"]),
+        "Player keys": set(_SECTION_KEYS["player"]),
+        "kind = node": set(_NODE_KEYS),
+        "kind = sybil": set(_SYBIL_KEYS),
+    }
 
 
 def test_error_line_numbers_are_exact():
