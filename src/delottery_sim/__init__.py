@@ -20,7 +20,6 @@ from .adversary import (
     MODE_NAIVE,
     NodeAttacker,
     RoundOutcome,
-    bounded_pow,
     node_attack_filter,
     run_commit_reveal_mode_round,
     run_naive_mode_round,
@@ -34,6 +33,7 @@ from .chain import (
     FEE_SINK,
     Ledger,
     PowProof,
+    bounded_pow,
     chain_dump,
     create_account,
     mine_block,

@@ -28,17 +28,14 @@ dry.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 
 from . import lottery, randao
 from .chain import (
     Ledger,
-    PowProof,
+    bounded_pow,
     create_account,
-    first_nonce,
     mine_block,
-    pow_digest,
     preview_block,
 )
 from .errors import AdmissionRejected, DuplicateAddress, ProtocolError
@@ -233,32 +230,23 @@ def sybil_spawn(ledger: Ledger, controller: bytes, n: int, start_salt: int = 0) 
     return fakes
 
 
-def bounded_pow(challenge: bytes, difficulty: int, max_attempts: int) -> tuple:
-    """Nonce search that gives up after max_attempts hashes.
-
-    Returns (proof or None, attempts actually burned). Same search as the
-    unbounded solver: nonces from 0, one hash per attempt.
-    """
-    found = first_nonce(partial(pow_digest, challenge), difficulty, max_attempts)
-    if found is None:
-        return None, max(max_attempts, 0)
-    nonce, _ = found
-    return PowProof(challenge, nonce, difficulty), nonce + 1
-
-
 def sybil_admission_trial(
     state: lottery.LotteryState,
     fakes: list,
     certifier_policy: str,
     pow_budget: int,
+    pow_memo: dict | None = None,
 ) -> tuple:
     """Attempt admission for each fake; returns (admitted, spent).
 
     Every hash attempt costs one budget unit. A fake whose proof of work
     cannot finish inside the remaining budget burns what is left and the
-    rest of the list is skipped. Honest certifiers refuse to vote for
-    identities they cannot vouch for, so nothing is admitted no matter
-    the spend; rubberstamping certifiers approve whatever shows up.
+    rest of the list is skipped. A proof remembered in `pow_memo` (see
+    `bounded_pow`) is charged the attempts its search takes, nonce + 1, so
+    the spend is the same with or without the memo. Honest certifiers
+    refuse to vote for identities they cannot vouch for, so nothing is
+    admitted no matter the spend; rubberstamping certifiers approve
+    whatever shows up.
     """
     if certifier_policy not in (CERT_HONEST_REFUSE, CERT_RUBBERSTAMP):
         raise ProtocolError(f"unknown certifier policy {certifier_policy!r}")
@@ -269,7 +257,9 @@ def sybil_admission_trial(
         if remaining <= 0:
             break
         challenge = lottery.admission_challenge(state, fake)
-        proof, attempts = bounded_pow(challenge, state.config.pow_difficulty, remaining)
+        proof, attempts = bounded_pow(
+            challenge, state.config.pow_difficulty, remaining, pow_memo
+        )
         spent += attempts
         if proof is None:
             break

@@ -312,12 +312,38 @@ def pow_digest(challenge: bytes, nonce: int) -> bytes:
     return H(challenge + nonce.to_bytes(8, "little"))
 
 
-def solve_pow(challenge: bytes, difficulty: int) -> PowProof:
+def bounded_pow(challenge: bytes, difficulty: int, max_attempts: int | None,
+                memo: dict | None = None) -> tuple:
+    """Nonce search that gives up after max_attempts hashes (None: never).
+
+    Returns (proof or None, attempts burned), where a proof's attempts are
+    nonce + 1: nonces run from 0, one pow_digest per attempt. The target is
+    not validated. `memo` maps (challenge, difficulty) to the smallest
+    qualifying nonce, which is a pure function of the two, so a remembered
+    nonce answers without hashing and reports the attempts the search would
+    have burned. Only found nonces above 0 are stored: a failed search
+    proves nothing about later nonces, and nonce 0 costs one hash anyway.
+    """
+    key = (challenge, difficulty)
+    nonce = None if memo is None else memo.get(key)
+    if nonce is None:
+        found = first_nonce(partial(pow_digest, challenge), difficulty, max_attempts)
+        if found is None:
+            return None, max(max_attempts, 0)
+        nonce, _ = found
+        if memo is not None and nonce > 0:
+            memo[key] = nonce
+    elif max_attempts is not None and nonce >= max_attempts:
+        return None, max(max_attempts, 0)
+    return PowProof(challenge, nonce, difficulty), nonce + 1
+
+
+def solve_pow(challenge: bytes, difficulty: int, memo: dict | None = None) -> PowProof:
     """Find the smallest nonce whose pow_digest reads below the target."""
     if not 0 < difficulty <= MAX_TARGET:
         raise ProtocolError("difficulty target must be in (0, 2^256]")
-    nonce, _ = first_nonce(partial(pow_digest, challenge), difficulty)
-    return PowProof(challenge, nonce, difficulty)
+    proof, _ = bounded_pow(challenge, difficulty, None, memo)
+    return proof
 
 
 def verify_pow(proof: PowProof) -> bool:

@@ -9,8 +9,12 @@ protocol rejections (say, a balance too small for the deposit) are
 recorded in the report and never abort the run.
 
 run_many executes seeds base_seed .. base_seed+n-1 and folds them into
-an aggregate in seed order. Seeds are share-nothing and could fan out to
-workers; the fold itself stays sequential and deterministic.
+an aggregate in seed order. Admission puzzles depend on addresses and
+instance ids, not on the seed, so the seeds of one call share a PoW memo
+(challenge, difficulty -> smallest nonce) and seed 2 onward reuse seed 1's
+solutions. The memo holds pure results and changes no report byte; it is
+all the seeds share, so they could still fan out to workers with one memo
+each. The fold itself stays sequential and deterministic.
 
 Reports serialize through a purpose-built emitter: floats are printed
 with 17 significant digits and dict order is fixed at construction, so
@@ -119,8 +123,12 @@ def _bet(state: LotteryState, entry: _Entry, seed: int, r: int) -> None:
     buy_shares(state, entry.address, guesses)
 
 
-def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
-    """Execute one seeded run of the scenario; deterministic per (sc, seed)."""
+def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunReport:
+    """Execute one seeded run of the scenario; deterministic per (sc, seed).
+
+    `pow_memo` is the PoW memo of `chain.bounded_pow`; it saves hashes and
+    never changes the report.
+    """
     t0 = time.perf_counter()
     cfg = sc.config
     ledger = Ledger()
@@ -160,12 +168,15 @@ def run_once(sc: Scenario, seed: int, fault_hook=None) -> RunReport:
     for r in range(sc.rounds):
         state = deploy(ledger, roster[0].address, cfg)
         for entry in roster[1:]:
-            proof = solve_pow(admission_challenge(state, entry.address), cfg.pow_difficulty)
+            challenge = admission_challenge(state, entry.address)
+            proof = solve_pow(challenge, cfg.pow_difficulty, pow_memo)
             add_player(state, entry.address, proof, set(state.active_certifiers))
         if sybil is not None:
             n = a.fake_count
             fakes = sybil_spawn(ledger, controller, n, start_salt=r * n)
-            admitted, spent = sybil_admission_trial(state, fakes, a.certifier_policy, a.budget)
+            admitted, spent = sybil_admission_trial(
+                state, fakes, a.certifier_policy, a.budget, pow_memo
+            )
             sybil["sybil_admitted"] += admitted
             sybil["sybil_spend"] += spent
             for fake in fakes:
@@ -271,7 +282,8 @@ def run_many(sc: Scenario, n_seeds: int, fault_hook=None) -> RunReport:
     if n_seeds < 1:
         raise ProtocolError("n_seeds must be >= 1")
     t0 = time.perf_counter()
-    reports = [run_once(sc, sc.base_seed + i, fault_hook) for i in range(n_seeds)]
+    pow_memo: dict = {}  # one per call: no remembered proof outlives it
+    reports = [run_once(sc, sc.base_seed + i, fault_hook, pow_memo) for i in range(n_seeds)]
     if n_seeds == 1:
         return reports[0]
     singles = [rep.data for rep in reports]

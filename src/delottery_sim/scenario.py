@@ -260,7 +260,7 @@ def validate_scenario(sc: Scenario) -> None:
     if dupes:
         raise ScenarioError(f"seed_material values must be distinct: {sorted(dupes)}")
 
-    def check_bets(p: PlayerSpec) -> None:
+    def check_player(p: PlayerSpec) -> None:
         label, guesses = p.seed_material, p.guesses
         if p.guess_strategy not in (STRATEGY_UNIFORM, STRATEGY_FIXED):
             raise ScenarioError(f"{label}: guess_strategy must be uniform or fixed")
@@ -280,14 +280,14 @@ def validate_scenario(sc: Scenario) -> None:
                 )
         if p.shares < 0:
             raise ScenarioError(f"{label}: shares must be >= 0")
+        if p.balance < 0:
+            raise ScenarioError(f"{label}: balance must be >= 0")
 
     for p in sc.players:
-        check_bets(p)
-        if p.balance < 0:
-            raise ScenarioError(f"{p.seed_material}: balance must be >= 0")
+        check_player(p)
     atk = sc.attacker
     if isinstance(atk, NodeAttackerSpec):
-        check_bets(atk.colluder())
+        check_player(atk.colluder())
         if not 0 <= atk.mining_share <= 1:
             raise ScenarioError("mining_share must lie in [0, 1]")
         if atk.futility_cap < 0:

@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import delottery_sim
 from delottery_sim import (
@@ -15,6 +15,7 @@ from delottery_sim import (
     MAX_TARGET,
     ProtocolError,
     UnknownAddress,
+    bounded_pow,
     chain_dump,
     create_account,
     digest_int,
@@ -194,6 +195,36 @@ def test_pow_solve_and_verify():
     assert digest_int(H(b"challenge" + proof.nonce.to_bytes(8, "little"))) < 1 << 248
     wrong = type(proof)(b"other", proof.nonce, proof.difficulty)
     assert not verify_pow(wrong)
+
+
+# smallest nonces at 2^248: b"b" 173, b"c" 59, b"d" 395; at 2^256 every nonce 0
+_POW_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from([b"b", b"c", b"d"]),
+        st.integers(248, 256),  # difficulty 2^bits
+        st.none() | st.integers(-1, 600),  # None: solve_pow, else bounded_pow's bound
+    ),
+    max_size=12,
+)
+
+
+@example([(b"d", 248, None), (b"d", 248, 395), (b"d", 248, 396)])  # hit at and past the bound
+@example([(b"d", 248, None), (b"d", 248, 0), (b"d", 248, -1)])  # hit with no attempts allowed
+@example([(b"d", 248, 100), (b"d", 248, 396), (b"d", 248, 100)])  # a failed search stores nothing
+@settings(max_examples=40, deadline=None)
+@given(_POW_CALLS)
+def test_pow_memo_never_changes_an_answer(calls):
+    memo = {}
+    for challenge, bits, max_attempts in calls:
+        difficulty = 1 << bits
+        if max_attempts is None:
+            assert solve_pow(challenge, difficulty, memo) == solve_pow(challenge, difficulty)
+        else:
+            got = bounded_pow(challenge, difficulty, max_attempts, memo)
+            assert got == bounded_pow(challenge, difficulty, max_attempts)
+    assert all(nonce > 0 for nonce in memo.values())  # a nonce-0 search is never stored
+    for (challenge, difficulty), nonce in memo.items():
+        assert solve_pow(challenge, difficulty).nonce == nonce
 
 
 @pytest.mark.parametrize(

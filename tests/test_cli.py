@@ -78,6 +78,15 @@ def test_run_bad_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad)]) == 2
 
 
+def test_negative_colluder_balance_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "broke.txt"
+    path.write_text(SCENARIO + "[attacker]\nkind = node\nseed_material = mallory\nbalance = -5\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused at load: no run, no report
+    assert "error: mallory: balance must be >= 0" in captured.err
+
+
 def test_run_rejects_zero_seeds(scenario_path, capsys):
     assert main(["run", "--scenario", scenario_path, "--seeds", "0"]) == 2
 

@@ -110,6 +110,54 @@ def test_aggregate_report_matches_golden(scenario):
     assert report_json_bytes(run_many(sc, 3)) == golden.read_bytes()
 
 
+# admission puzzles at 2^250 cost about 64 attempts, so a 150-unit budget
+# runs dry before the fourth fake in some rounds
+DRY_BUDGET = """
+name = dry-budget
+rounds = 3
+pow_difficulty_bits = 250
+[player]
+seed_material = host
+[player]
+seed_material = joiner
+[attacker]
+kind = sybil
+seed_material = flood
+fake_count = 4
+budget = 150
+certifier_policy = {policy}
+"""
+
+
+@pytest.mark.parametrize("policy", ["honest-refuse", "rubberstamp"])
+def test_shared_pow_memo_changes_no_seed_report(policy):
+    # the seeds of a run solve identical admission puzzles, so from seed 2
+    # on the shared memo answers each puzzle seed 1 solved
+    sc = parse_scenario(DRY_BUDGET.format(policy=policy))
+    seeds = [sc.base_seed + i for i in range(3)]
+    singles = [run_once(sc, seed).data for seed in seeds]
+    memo = {}
+    assert [run_once(sc, seed, None, memo).data for seed in seeds] == singles
+    assert memo
+    admitted = singles[0]["sybil"]["sybil_admitted"]
+    if policy == "rubberstamp":
+        assert 0 < admitted < sc.rounds * sc.attacker.fake_count  # proofs ran out
+    else:
+        assert admitted == 0
+
+    agg = run_many(sc, 3).data
+    spends = [d["sybil"]["sybil_spend"] for d in singles]
+    assert [row["sybil_spend"] for row in agg["per_seed"]] == spends
+    assert agg["sybil"] == {
+        **singles[0]["sybil"],
+        "sybil_admitted": sum(d["sybil"]["sybil_admitted"] for d in singles),
+        "sybil_spend": sum(spends),
+        "admitted_identities": {
+            fake: ctl for d in singles for fake, ctl in d["sybil"]["admitted_identities"].items()
+        },
+    }
+
+
 def mint(ledger, round_index):
     ledger.fee_sink += 1  # money from nowhere
 

@@ -217,6 +217,10 @@ def test_attacker_validation():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL + "[attacker]\nkind = node\nmining_share = 2\n")
     assert "mining_share" in str(err.value)
+    # the colluder is a player too: its balance is checked at load
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + "[attacker]\nkind = node\nseed_material = eve\nbalance = -5\n")
+    assert str(err.value) == "eve: balance must be >= 0"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(
             "rng_mode = naive\n" + MINIMAL
