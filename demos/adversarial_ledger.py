@@ -2,7 +2,7 @@
 The chain under the lottery
 ===========================
 
-Everything the simulator does lands on a toy proof-of-work chain:
+Everything the simulator does lands on a toy hash-linked chain:
 events carry auth tags bound to the sender's secret, blocks apply
 transfers atomically, and the whole history re-verifies from genesis.
 This demo mines a few blocks by hand, tampers with one, and watches
@@ -31,7 +31,7 @@ ledger.pending.clear()
 ledger.advance_clock()
 
 print(f"mined block {block.height}: {len(block.events)} events, "
-      f"nonce {block.nonce}, hash {block.hash.hex()[:16]}...")
+      f"hash {block.hash.hex()[:16]}...")
 print(f"alice {ledger.balance_of(alice.address)}, bob {ledger.balance_of(bob.address)}")
 
 # a second, empty block to give the chain some length

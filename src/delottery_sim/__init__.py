@@ -20,7 +20,7 @@ from .adversary import (
     MODE_NAIVE,
     NodeAttacker,
     RoundOutcome,
-    node_attack_filter,
+    favorable,
     run_commit_reveal_mode_round,
     run_naive_mode_round,
     sybil_admission_trial,
@@ -66,7 +66,7 @@ from .harness import (
     run_once,
     verify_report,
 )
-from .hashing import H, MAX_TARGET, decode_i64, digest_int, encode_i64, le8
+from .hashing import H, MAX_TARGET, digest_int, encode_i64, le8
 from .lottery import (
     LotteryConfig,
     LotteryState,
@@ -80,7 +80,6 @@ from .lottery import (
     begin_key_upload,
     buy_shares,
     compute_deposit,
-    compute_prize_pool,
     deploy,
     derive_winners,
     draw,

@@ -79,24 +79,14 @@ class RoundOutcome:
     withheld: int
 
 
-def node_attack_filter(
-    pow_events: list,
-    lottery_event,
-    attacker_guesses,
-    winners_if_included,
-    subset_rule: bool = False,
-) -> list:
-    """The withholding move: keep the draw event only if it pays.
+def favorable(guesses, winners, subset_rule: bool = False) -> bool:
+    """Whether a draw with winning set `winners` pays the attacker enough to publish.
 
-    Returns pow_events plus the lottery event when the attacker's guesses
-    make the would-be winning set favorable, else pow_events unchanged.
+    Intersection rule: some guess wins. Subset rule: every guess wins. No
+    guesses is never favorable.
     """
-    gs = set(attacker_guesses)
-    wins = set(winners_if_included)
-    favorable = bool(gs) and (gs <= wins if subset_rule else bool(gs & wins))
-    if favorable:
-        return list(pow_events) + [lottery_event]
-    return list(pow_events)
+    gs = set(guesses)
+    return bool(gs) and (gs.issubset(winners) if subset_rule else not gs.isdisjoint(winners))
 
 
 def _proposer_is_attacker(attacker: NodeAttacker, stream: Stream) -> bool:
@@ -128,8 +118,7 @@ def _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap) -
         ):
             miner = attacker.address
             guesses = state.players[attacker.colluder].guesses
-            kept = node_attack_filter([], event, guesses, winners_if(event), attacker.subset_rule)
-            if not kept:
+            if not favorable(guesses, winners_if(event), attacker.subset_rule):
                 mine_block(ledger, miner, [])  # withhold: slot ships empty
                 ledger.advance_clock()
                 withheld += 1

@@ -1,10 +1,10 @@
 """Simulation-grade blockchain substrate.
 
 Accounts, an integer-unit ledger with escrow buckets, hash-authenticated
-events, blocks mined by transaction nodes through a toy proof-of-work, and
-a logical tick clock. Everything is deterministic: the PoW nonce search
-starts at 0, the clock only moves when the harness advances it, and money
-is always an integer count of atomic units.
+events, hash-linked blocks mined by transaction nodes, the admission
+proof-of-work, and a logical tick clock. Everything is deterministic: the
+PoW nonce search starts at 0, the clock only moves when the harness
+advances it, and money is always an integer count of atomic units.
 
 Authentication model: real signatures are out of scope. An account's
 address is H(secret) and an event carries tag = H(secret || canonical
@@ -18,14 +18,17 @@ Byte layouts (nonces are 8-byte little-endian, as `hashing.le8`):
 - event body: `canonical_event_bytes`, "kind|sender_hex|timestamp|k=v|..."
   with payload keys sorted (no key or string value may contain "|" or
   "="); an event's wire bytes are body || auth_tag.
-- block hash: H(prev_hash || concat(event wire bytes) || le8(nonce) || miner).
+- block hash: H(prev_hash || concat(event wire bytes) || le8(0) || miner).
+  Blocks carry no difficulty target, so each is hashed once. The le8(0)
+  is a fixed field of the layout: naive-mode winners derive from block
+  hashes, so dropping it would change every naive-mode report.
 - proof-of-work attempt: H(challenge || le8(nonce)).
 
-Target predicate: a digest reads below difficulty d iff
-digest_int(digest) < d. Every check (nonce search, `verify_pow`,
-`verify_chain`) compares the digest bytes against `pow_target(d)` with
-<=, which is that predicate for every integer d: 32-byte strings of equal
-length order as big-endian integers.
+Target predicate: a PoW digest reads below difficulty d iff
+digest_int(digest) < d. The nonce search and `verify_pow` compare the
+digest bytes against `pow_target(d)` with <=, which is that predicate for
+every integer d: 32-byte strings of equal length order as big-endian
+integers.
 
 Conservation: money changes hands only through `Ledger.move`, between
 accounts, escrow buckets and the receive-only FEE_SINK, and
@@ -35,7 +38,6 @@ sum(escrow buckets) equals the total minted after every operation.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 
 from .errors import (
@@ -45,7 +47,7 @@ from .errors import (
     ProtocolError,
     UnknownAddress,
 )
-from .hashing import DIGEST_SIZE, H, MAX_TARGET
+from .hashing import DIGEST_SIZE, H, MAX_TARGET, le8
 
 GENESIS_PREV = b"\x00" * 32
 GENESIS_MINER = b"\x00" * 32
@@ -86,7 +88,6 @@ class Block:
     height: int
     prev_hash: bytes
     events: tuple
-    nonce: int
     miner: bytes
     hash: bytes
 
@@ -132,22 +133,19 @@ def event_wire_bytes(event: Event) -> bytes:
 class Ledger:
     """Account balances, escrow buckets, the block chain and the clock."""
 
-    def __init__(self, mining_difficulty: int = MAX_TARGET):
-        if not 0 < mining_difficulty <= MAX_TARGET:
-            raise ProtocolError("mining difficulty target must be in (0, 2^256]")
+    def __init__(self):
         self.accounts: dict[bytes, Account] = {}
         self.clock = 0
         self.fee_sink = 0
         self.escrow: dict[str, int] = {}
         self.total_minted = 0
-        self.mining_difficulty = mining_difficulty
         self.pending: list[Event] = []
         self._last_mine_tick = -1
         self._round_counter = 0
         self._lottery_counter = 0
         # genesis predates the clock; it does not occupy tick 0's block slot
-        genesis = _build_block(0, GENESIS_PREV, (), b"", GENESIS_MINER, mining_difficulty)
-        self.chain: list[Block] = [genesis]
+        genesis_hash = block_hash(GENESIS_PREV, b"", GENESIS_MINER)
+        self.chain: list[Block] = [Block(0, GENESIS_PREV, (), GENESIS_MINER, genesis_hash)]
 
     # -- identifiers ------------------------------------------------------
 
@@ -293,20 +291,6 @@ def pow_target(difficulty: int) -> bytes:
     return (min(difficulty, MAX_TARGET) - 1).to_bytes(DIGEST_SIZE, "big")
 
 
-def first_nonce(digest_of, difficulty: int, max_attempts: int | None = None):
-    """Smallest nonce from 0 whose digest_of(nonce) reads below the target.
-
-    Returns (nonce, digest) after one digest_of call per attempt, or None
-    once max_attempts nonces (when given) have all missed.
-    """
-    target = pow_target(difficulty)
-    for nonce in count() if max_attempts is None else range(max_attempts):
-        digest = digest_of(nonce)
-        if digest <= target:
-            return nonce, digest
-    return None
-
-
 def pow_digest(challenge: bytes, nonce: int) -> bytes:
     """H(challenge || le8(nonce)): one proof-of-work attempt."""
     return H(challenge + nonce.to_bytes(8, "little"))
@@ -327,10 +311,12 @@ def bounded_pow(challenge: bytes, difficulty: int, max_attempts: int | None,
     key = (challenge, difficulty)
     nonce = None if memo is None else memo.get(key)
     if nonce is None:
-        found = first_nonce(partial(pow_digest, challenge), difficulty, max_attempts)
-        if found is None:
+        target = pow_target(difficulty)
+        for nonce in count() if max_attempts is None else range(max_attempts):
+            if pow_digest(challenge, nonce) <= target:
+                break
+        else:
             return None, max(max_attempts, 0)
-        nonce, _ = found
         if memo is not None and nonce > 0:
             memo[key] = nonce
     elif max_attempts is not None and nonce >= max_attempts:
@@ -350,27 +336,18 @@ def verify_pow(proof: PowProof) -> bool:
     return pow_digest(proof.challenge, proof.nonce) <= pow_target(proof.difficulty)
 
 
-def block_hash(prev_hash: bytes, event_bytes: bytes, nonce: int, miner: bytes) -> bytes:
-    """H(prev_hash || event_bytes || le8(nonce) || miner).
+def block_hash(prev_hash: bytes, event_bytes: bytes, miner: bytes) -> bytes:
+    """H(prev_hash || event_bytes || le8(0) || miner).
 
-    `event_bytes` is the concatenation of the block's event wire bytes,
-    joined once per block rather than once per nonce attempt.
+    `event_bytes` is the concatenation of the block's event wire bytes.
     """
-    return H(prev_hash + event_bytes + nonce.to_bytes(8, "little") + miner)
+    return H(prev_hash + event_bytes + le8(0) + miner)
 
 
 def _build_on_tip(ledger: Ledger, events: tuple, event_bytes: bytes, miner: bytes) -> Block:
     prev = ledger.chain[-1]
-    return _build_block(prev.height + 1, prev.hash, events, event_bytes, miner,
-                        ledger.mining_difficulty)
-
-
-def _build_block(height: int, prev_hash: bytes, events: tuple, event_bytes: bytes,
-                 miner: bytes, difficulty: int) -> Block:
-    nonce, digest = first_nonce(
-        lambda n: block_hash(prev_hash, event_bytes, n, miner), difficulty
-    )
-    return Block(height, prev_hash, events, nonce, miner, digest)
+    return Block(prev.height + 1, prev.hash, events, miner,
+                 block_hash(prev.hash, event_bytes, miner))
 
 
 def preview_block(ledger: Ledger, events, miner: bytes) -> Block:
@@ -432,21 +409,18 @@ def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
     return block
 
 
-def verify_chain(chain, difficulty: int | None = None) -> bool:
-    """True iff links, stored hashes and difficulty all check out.
+def verify_chain(chain) -> bool:
+    """True iff every link and stored hash checks out.
 
     Every block hash is recomputed from the events' payloads, so a payload
     changed after mining is caught.
     """
-    target = None if difficulty is None else pow_target(difficulty)
     prev_hash = GENESIS_PREV
     for i, block in enumerate(chain):
         if block.height != i or block.prev_hash != prev_hash:
             return False
         event_bytes = b"".join(map(event_wire_bytes, block.events))
-        if block_hash(block.prev_hash, event_bytes, block.nonce, block.miner) != block.hash:
-            return False
-        if target is not None and not block.hash <= target:
+        if block_hash(block.prev_hash, event_bytes, block.miner) != block.hash:
             return False
         prev_hash = block.hash
     return True

@@ -35,11 +35,6 @@ def encode_i64(value: int) -> bytes:
     return (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def decode_i64(raw: bytes) -> int:
-    u = int.from_bytes(raw, "little")
-    return u - (1 << 64) if u >= (1 << 63) else u
-
-
 def digest_int(digest: bytes) -> int:
     """Digest interpreted as a big-endian integer (for PoW target checks)."""
     return int.from_bytes(digest, "big")

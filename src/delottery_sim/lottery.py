@@ -27,7 +27,7 @@ plus stake money; total funds are conserved with no stranded escrow.
 "literal" consumes the deposits of non-banned revealers into the pool
 (forfeitures included via phi) and leaves stake money frozen in escrow,
 which mirrors the source accounting at the cost of stranding funds; the
-stranded amount is tracked so audits stay exact.
+stranded stakes stay in the lottery's stake bucket, so audits stay exact.
 
 The host is the first player and first certifier: no operation takes a
 host-only path, so the host has exactly zero privilege after deployment.
@@ -106,7 +106,6 @@ class LotteryState:
         self.round: randao.RngRound | None = None
         self.betting_close: int | None = None
         self.winners: set[int] | None = None
-        self.pool_at_settle = 0
 
     @property
     def phi_bucket(self) -> str:
@@ -119,13 +118,6 @@ class LotteryState:
     @property
     def phi(self) -> int:
         return self.ledger.escrow.get(self.phi_bucket, 0)
-
-    @property
-    def stranded(self) -> int:
-        """Stake money frozen by literal-mode settlement; zero otherwise."""
-        if self.phase == SETTLED and self.config.pool_mode == POOL_LITERAL:
-            return self.ledger.escrow.get(self.stake_bucket, 0)
-        return 0
 
     def eligible(self) -> list[bytes]:
         """P minus B, in join order."""
@@ -384,16 +376,6 @@ def _pool_funds(state: LotteryState) -> tuple:
     return bucket, state.ledger.escrow.get(bucket, 0)
 
 
-def compute_prize_pool(state: LotteryState) -> int:
-    """Pool r: phi plus held deposits (literal) or phi plus stakes (consistent).
-
-    Read off the escrow buckets, so after settlement it is what remains.
-    """
-    if state.phase not in (DRAWN, SETTLED):
-        raise PhaseError("prize pool is defined once the draw has happened")
-    return state.phi + _pool_funds(state)[1]
-
-
 def winning_share_count(state: LotteryState, player: bytes) -> int:
     guesses = state.players[player].guesses
     if player in state.banned or state.winners is None:
@@ -419,7 +401,6 @@ def settle(state: LotteryState) -> dict:
     ledger = state.ledger
     funds_bucket, funds = _pool_funds(state)
     pool = state.phi + funds
-    state.pool_at_settle = pool
     counts = {a: winning_share_count(state, a) for a in state.eligible()}
     total_winning = sum(counts.values())
     payouts: dict[bytes, int] = {}

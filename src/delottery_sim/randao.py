@@ -57,7 +57,6 @@ class RngRound:
     commitments: dict = field(default_factory=dict)
     reveals: dict = field(default_factory=dict)
     state: str = OPEN
-    output: bytes | None = None
 
     @property
     def bucket(self) -> str:
@@ -156,7 +155,6 @@ def refund_all(ledger: Ledger, rnd: RngRound) -> None:
     for addr in sorted(rnd.commitments):
         ledger.move(rnd.bucket, addr, rnd.commitments[addr].deposit)
     rnd.state = FINALIZED
-    rnd.output = None
 
 
 def finalize(
@@ -196,7 +194,6 @@ def finalize(
         else:
             forfeited += deposit
     rnd.state = FINALIZED
-    rnd.output = output
     return output, refunds, forfeited
 
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .adversary import CERT_HONEST_REFUSE, CERT_RUBBERSTAMP, MODE_NAIVE, RNG_MODES, NodeAttacker
 from .errors import ConfigError, ScenarioError
 from .lottery import LotteryConfig
+from .stats import CHI2_CRIT_01
 
 STRATEGY_UNIFORM = "uniform"
 STRATEGY_FIXED = "fixed"
@@ -259,6 +260,15 @@ def validate_scenario(sc: Scenario) -> None:
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise ScenarioError(f"seed_material values must be distinct: {sorted(dupes)}")
+    # the fairness test has one degree of freedom per roster entry past the first
+    colluder = isinstance(sc.attacker, NodeAttackerSpec)
+    roster, limit = len(sc.players) + colluder, max(CHI2_CRIT_01) + 1
+    if roster > limit:
+        counted = " plus the node attacker's colluder" if colluder else ""
+        raise ScenarioError(
+            f"[player]: a roster of {roster} ({len(sc.players)} [player] sections{counted}) "
+            f"exceeds {limit}, the most the chi-square table covers"
+        )
 
     def check_player(p: PlayerSpec) -> None:
         label, guesses = p.seed_material, p.guesses

@@ -36,9 +36,9 @@ from delottery_sim import (
     deploy,
     draw,
     enter_buffer,
+    favorable,
     le8,
     load_scenario,
-    node_attack_filter,
     open_round,
     parse_scenario,
     pooled_standard_error,
@@ -266,12 +266,10 @@ def test_criterion_7_filter_enumeration():
     mistakes = 0
     for g, w in itertools.product(subsets, subsets):
         cases += 1
-        kept = node_attack_filter(["pow"], "draw", g, w)
         want = bool(g) and bool(g & w)
-        mistakes += ("draw" in kept) != want
-        kept_subset = node_attack_filter(["pow"], "draw", g, w, subset_rule=True)
+        mistakes += favorable(g, w) != want
         want_subset = bool(g) and g <= w
-        mistakes += ("draw" in kept_subset) != want_subset
+        mistakes += favorable(g, w, subset_rule=True) != want_subset
     ok = cases == 256 and mistakes == 0
     assert _verdict(
         7, "withholding filter fidelity", ok,

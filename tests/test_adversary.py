@@ -22,7 +22,7 @@ from delottery_sim import (
     deploy,
     derive_winners,
     enter_buffer,
-    node_attack_filter,
+    favorable,
     reveal_key,
     run_commit_reveal_mode_round,
     run_naive_mode_round,
@@ -37,33 +37,31 @@ from delottery_sim import adversary
 from delottery_sim.randao import FINALIZED, peek_output
 
 
-# --- the filter itself ---------------------------------------------------
+# --- the favorability predicate -----------------------------------------
 
 
 def test_filter_intersection_rule():
-    pow_events = ["pow1", "pow2"]
-    assert node_attack_filter(pow_events, "draw", [3], {3, 7}) == ["pow1", "pow2", "draw"]
-    assert node_attack_filter(pow_events, "draw", [1, 3], {3}) == ["pow1", "pow2", "draw"]
-    assert node_attack_filter(pow_events, "draw", [1], {3, 7}) == ["pow1", "pow2"]
-    assert node_attack_filter([], "draw", [5], {5}) == ["draw"]
+    assert favorable([3], {3, 7})
+    assert favorable([1, 3], {3})
+    assert not favorable([1], {3, 7})
+    assert favorable([5], {5})
 
 
 def test_filter_subset_rule():
-    keep = node_attack_filter([], "draw", [3], {3, 7}, subset_rule=True)
-    assert keep == ["draw"]
-    drop = node_attack_filter([], "draw", [3, 1], {3, 7}, subset_rule=True)
-    assert drop == []
+    assert favorable([3], {3, 7}, subset_rule=True)
+    assert not favorable([3, 1], {3, 7}, subset_rule=True)
 
 
 def test_filter_empty_guesses_always_withholds():
-    assert node_attack_filter(["p"], "draw", [], {0, 1, 2}) == ["p"]
-    assert node_attack_filter(["p"], "draw", [], {0}, subset_rule=True) == ["p"]
+    assert not favorable([], {0, 1, 2})
+    assert not favorable([], {0}, subset_rule=True)
 
 
 def test_filter_does_not_mutate_inputs():
-    pow_events = ["p"]
-    node_attack_filter(pow_events, "draw", [0], {0})
-    assert pow_events == ["p"]
+    guesses, winners = [0, 0], {0}
+    for subset_rule in (False, True):
+        assert favorable(guesses, winners, subset_rule)
+    assert (guesses, winners) == ([0, 0], {0})
 
 
 def test_attacker_mining_share_validation():

@@ -87,6 +87,38 @@ def test_negative_colluder_balance_is_a_load_error(tmp_path, capsys):
     assert "error: mallory: balance must be >= 0" in captured.err
 
 
+def _roster_file(tmp_path, n_players, attacker=""):
+    path = tmp_path / f"roster-{n_players}.txt"
+    players = "".join(f"[player]\nseed_material = p{i}\n" for i in range(n_players))
+    path.write_text("rounds = 1\nguess_space_size = 4\n" + players + attacker)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "n_players, attacker, message",
+    [
+        (66, "", "a roster of 66 (66 [player] sections)"),
+        (65, "[attacker]\nkind = node\n",
+         "a roster of 66 (65 [player] sections plus the node attacker's colluder)"),
+    ],
+    ids=["66-players", "65-players-and-a-colluder"],
+)
+def test_oversized_roster_is_a_load_error(tmp_path, capsys, n_players, attacker, message):
+    # the winner histogram's chi-square test is tabulated up to df = 64
+    out = tmp_path / "report.json"
+    path = _roster_file(tmp_path, n_players, attacker)
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: [player]: {message} exceeds 65" in captured.err
+    assert not out.exists()  # refused at load: no run, no report
+
+
+def test_largest_roster_runs(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "--scenario", _roster_file(tmp_path, 65), "--out", str(out)]) == 0
+    assert load_report(out)["chi_square"]["df"] == 64
+
+
 def test_run_rejects_zero_seeds(scenario_path, capsys):
     assert main(["run", "--scenario", scenario_path, "--seeds", "0"]) == 2
 

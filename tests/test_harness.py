@@ -13,6 +13,7 @@ from delottery_sim import (
     report_json_bytes,
     run_many,
     run_once,
+    verify_chain,
     verify_report,
 )
 from delottery_sim.cli import main
@@ -156,6 +157,37 @@ def test_shared_pow_memo_changes_no_seed_report(policy):
             fake: ctl for d in singles for fake, ctl in d["sybil"]["admitted_identities"].items()
         },
     }
+
+
+@pytest.mark.parametrize("policy", ["honest-refuse", "rubberstamp"])
+def test_sybil_counters_are_the_same_on_every_seed(policy):
+    # fakes and puzzles derive from the controller secret, salts, instance
+    # ids and addresses, never from the seed (see docs/report-format.md)
+    sc = parse_scenario(DRY_BUDGET.format(policy=policy))
+    sc.rounds = 2
+    sc.attacker.budget = 10**6  # every puzzle is solved, so the spend sums them all
+    rows = run_many(sc, 3).data["per_seed"]
+    counters = {(row["sybil_admitted"], row["sybil_spend"]) for row in rows}
+    assert len(rows) == 3 and len(counters) == 1
+    admitted, spend = counters.pop()
+    assert spend > 0 and (admitted > 0) == (policy == "rubberstamp")
+
+
+SHIPPED = sorted(path.stem for path in (ROOT / "scenarios").glob("*.txt"))
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_shipped_run_leaves_a_valid_chain_and_reported_escrow(scenario):
+    sc = load_scenario(ROOT / "scenarios" / f"{scenario}.txt")
+    sc.rounds = min(sc.rounds, 60)
+    ledgers = set()
+    data = run_once(sc, sc.base_seed, lambda ledger, r: ledgers.add(ledger)).data
+    assert len(ledgers) == 1
+    ledger = ledgers.pop()
+    assert verify_chain(ledger.chain)
+    assert sum(ledger.escrow.values()) == data["stranded_escrow"]
+    # consistent mode strands nothing; literal mode strands the stakes
+    assert (data["stranded_escrow"] == 0) == (sc.config.pool_mode == "consistent")
 
 
 def mint(ledger, round_index):

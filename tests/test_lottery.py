@@ -24,7 +24,6 @@ from delottery_sim import (
     begin_key_upload,
     buy_shares,
     compute_deposit,
-    compute_prize_pool,
     create_account,
     deploy,
     derive_winners,
@@ -202,6 +201,17 @@ def test_ban_removes_certifier_and_zeroes_score():
 # --- a full round, checked tick by tick --------------------------------
 
 
+def escrowed_pool(state):
+    """The prize pool between draw and settle, read off the escrow buckets.
+
+    phi plus the held deposits (literal mode) or plus the stakes
+    (consistent mode).
+    """
+    literal = state.config.pool_mode == POOL_LITERAL
+    bucket = state.round.bucket if literal else state.stake_bucket
+    return state.phi + state.ledger.escrow.get(bucket, 0)
+
+
 def run_full_round(
     pool_mode="consistent", skip_reveal=(), bettors=None, price=10**13, paid=None
 ):
@@ -250,9 +260,10 @@ def test_full_round_fee_and_conservation():
     shares = {addrs[0]: 2, addrs[1]: 1, addrs[2]: 1}
     for a, m in shares.items():
         assert paid[a] == m * (price + fee)
-    # nobody forfeited, so the pool is exactly the stakes
-    assert state.pool_at_settle == 4 * price
+    # nobody forfeited, so the pool is exactly the stakes: payouts plus the
+    # split's remainder are the stakes, and the fees sit beside them in the sink
     assert sum(payouts.values()) + ledger.fee_sink == 4 * price + 4 * fee
+    assert not ledger.escrow  # consistent mode strands nothing
     assert ledger.conservation_residual() == 0
     # every deposit came back
     for a in addrs:
@@ -295,10 +306,10 @@ def test_silent_committer_forfeits_exact_deposit():
     lost = deposits[addrs[1]] + deposits[addrs[2]]
     assert state.players[addrs[1]].deposit_forfeited == deposits[addrs[1]]
     assert state.players[addrs[2]].deposit_forfeited == deposits[addrs[2]]
-    payouts = settle(state)
     # pool = stakes + both forfeited deposits, all paid to the lone winner
     pool = 4 * state.config.share_price + lost
-    assert state.pool_at_settle == pool
+    assert escrowed_pool(state) == pool
+    payouts = settle(state)
     assert payouts == {addrs[0]: pool}  # one winning share takes everything
     assert ledger.conservation_residual() == 0
 
@@ -326,10 +337,10 @@ def test_banned_revealer_forfeits_and_scores_zero():
     cheat = state.players[addrs[2]]
     assert cheat.deposit_forfeited == deposits[addrs[2]]
     assert winning_share_count(state, addrs[2]) == 0
+    # the banned player's stake still sits in the pool that others split
+    assert escrowed_pool(state) == 3 * 4 * state.config.share_price + deposits[addrs[2]]
     payouts = settle(state)
     assert addrs[2] not in payouts
-    # the banned player's stake still sits in the pool that others split
-    assert state.pool_at_settle == 3 * 4 * state.config.share_price + deposits[addrs[2]]
     assert ledger.conservation_residual() == 0
 
 
@@ -378,11 +389,11 @@ def test_no_winning_shares_literal_strands_stakes():
     for a in addrs:
         record = state.players[a]
         assert (record.deposit_refunded, record.deposit_forfeited) == (0, 0)
-    assert compute_prize_pool(state) == sum(deposits.values())
+    assert escrowed_pool(state) == sum(deposits.values())
     payouts = settle(state)
     assert payouts == {}
-    assert compute_prize_pool(state) == 0  # the held deposits went to the sink
-    assert state.stranded == 0  # nobody staked, nothing to strand
+    assert escrowed_pool(state) == 0  # the held deposits went to the sink
+    assert not ledger.escrow  # nobody staked, nothing to strand
     for a in addrs:
         # deposits were consumed by the pool and then sunk (no winners)
         assert ledger.balance_of(a) == 10**14 - deposits[a]
@@ -408,11 +419,13 @@ def test_literal_mode_strands_stakes_when_winners_exist():
         reveal_key(state, a, key=i)
     tick_to(ledger, 5)
     draw(state)
-    payouts = settle(state)
     # pool excludes stakes entirely: it is the held deposits (phi empty here)
-    assert state.pool_at_settle == sum(deposits.values())
-    assert sum(payouts.values()) + (state.pool_at_settle - sum(payouts.values())) == state.pool_at_settle
-    assert state.stranded == 4 * state.config.share_price
+    pool = escrowed_pool(state)
+    assert pool == sum(deposits.values())
+    sink = ledger.fee_sink
+    payouts = settle(state)
+    assert sum(payouts.values()) + (ledger.fee_sink - sink) == pool
+    assert ledger.escrow == {state.stake_bucket: 4 * state.config.share_price}
     assert ledger.conservation_residual() == 0
 
 
@@ -632,10 +645,10 @@ def test_single_player_space_one_takes_whole_pool():
     reveal_key(state, host, key=9)
     tick_to(ledger, 5)
     draw(state)
+    assert escrowed_pool(state) == 10**13  # the single stake
     payouts = settle(state)
     assert state.winners == {0}
-    assert payouts == {host: state.pool_at_settle}
-    assert state.pool_at_settle == 10**13  # the single stake
+    assert payouts == {host: 10**13}
     assert ledger.conservation_residual() == 0
 
 
@@ -648,9 +661,3 @@ def test_settlement_report_shape():
         fields = ln.split(",")
         assert len(fields) == 6
         assert int(fields[5]) == ledger.balance_of(bytes.fromhex(fields[0]))
-
-
-def test_prize_pool_undefined_before_draw():
-    ledger, state, accounts = fresh_lottery(1)
-    with pytest.raises(PhaseError):
-        compute_prize_pool(state)
