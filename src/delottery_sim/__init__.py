@@ -93,7 +93,6 @@ from .lottery import (
 from .prng import Stream, splitmix64, stream_seed
 from .randao import (
     Commitment,
-    Reveal,
     RngRound,
     combine,
     commit,

@@ -74,8 +74,8 @@ class NodeAttacker:
 
 @dataclass(slots=True)
 class RoundOutcome:
-    winners: set
-    attacker_won: bool
+    """What a draw adds to the lottery's record: the blocks withheld before it landed."""
+
     withheld: int
 
 
@@ -128,11 +128,6 @@ def _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap) -
         return block, withheld
 
 
-def _outcome(state, attacker, withheld: int) -> RoundOutcome:
-    won = attacker is not None and lottery.winning_share_count(state, attacker.colluder) > 0
-    return RoundOutcome(state.winners, won, withheld)
-
-
 def run_naive_mode_round(
     state: lottery.LotteryState,
     attacker: NodeAttacker | None,
@@ -166,7 +161,7 @@ def run_naive_mode_round(
         ledger.clock, ledger._last_mine_tick = clock, last_mine_tick
         raise ProtocolError("withholding never found a favorable draw")
     lottery.draw(state, seed=block.hash)
-    return _outcome(state, attacker, withheld)
+    return RoundOutcome(withheld)
 
 
 def run_commit_reveal_mode_round(
@@ -193,7 +188,7 @@ def run_commit_reveal_mode_round(
             cap = attacker.futility_cap
     _, withheld = _mine_draw(state, attacker, honest_miner, stream, sender, winners_if, cap)
     lottery.draw(state)
-    return _outcome(state, attacker, withheld)
+    return RoundOutcome(withheld)
 
 
 def sybil_seed_material(controller_secret: bytes, salt: int) -> bytes:

@@ -37,7 +37,7 @@ from .adversary import (
     sybil_admission_trial,
     sybil_spawn,
 )
-from .chain import Ledger, create_account, mine_block, solve_pow
+from .chain import Ledger, create_account, mine_block, solve_pow, verify_chain
 from .errors import ProtocolError, ReportError
 from .lottery import (
     LotteryState,
@@ -127,7 +127,9 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
     """Execute one seeded run of the scenario; deterministic per (sc, seed).
 
     `pow_memo` is the PoW memo of `chain.bounded_pow`; it saves hashes and
-    never changes the report.
+    never changes the report. `fault_hook(ledger, r)` runs after each
+    round's settlement; a run given one re-verifies its chain at the end
+    and raises ProtocolError if a block no longer matches its events.
     """
     t0 = time.perf_counter()
     cfg = sc.config
@@ -162,7 +164,6 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
     histogram = {e.name: 0 for e in roster}
     winners_per_round: list = []
     rejections: list[str] = []
-    attacker_wins = 0
     withhold_count = 0
 
     for r in range(sc.rounds):
@@ -204,17 +205,16 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
         draw = run_naive_mode_round if sc.rng_mode == MODE_NAIVE else run_commit_reveal_mode_round
         outcome = draw(state, node_attacker, miner, Stream(seed, r, b"proposer"), roster[0].address)
         settle(state)
-        winners_per_round.append(
-            sorted(outcome.winners) if outcome.winners is not None else None
-        )
+        winners_per_round.append(None if state.winners is None else sorted(state.winners))
         for entry in roster:
             if winning_share_count(state, entry.address) > 0:
                 histogram[entry.name] += 1
-        attacker_wins += outcome.attacker_won
         withhold_count += outcome.withheld
         if fault_hook is not None:
             fault_hook(ledger, r)
         _tick_through(ledger, miner, ledger.clock)
+    if fault_hook is not None and not verify_chain(ledger.chain):
+        raise ProtocolError("the chain fails verification after the fault hook ran")
 
     residual = ledger.conservation_residual()
     chi = _chi_square(list(histogram.values()))
@@ -224,7 +224,7 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
         attack = {
             "mode": sc.rng_mode,
             "mining_share": float(node_attacker.mining_share),
-            "attacker_wins": attacker_wins,
+            "attacker_wins": histogram[roster[-1].name],  # the colluder's wins
             "total_rounds": sc.rounds,
             "withhold_count": withhold_count,
         }
@@ -546,4 +546,25 @@ def _implied_problems(data: dict, kind: str, names: list) -> list:
         return [f"cannot recompute {key}: {exc}"]
     if data[key] != expected:
         problems.append(f"{key} is {data[key]!r}, recomputed {expected!r}")
-    return problems
+    return problems + _attack_problems(data["attack"], counts, rounds, single)
+
+
+def _attack_problems(attack, counts: list, rounds: int, single: bool) -> list:
+    """Compare a node attack's counters with the colluder's wins, the last player's."""
+    if attack is None:
+        return []
+    if not isinstance(attack, dict):
+        return [f"attack must be null or an object, got {attack!r:.60}"]
+    if not counts:
+        return ["attack has no colluder: players is empty"]
+    expected = {"attacker_wins": counts[-1], "total_rounds": rounds}
+    if not single:
+        if rounds < 1:
+            return ["cannot recompute attack.rate: no rounds"]
+        rate = counts[-1] / rounds
+        expected.update(rate=rate, standard_error=stats.binomial_sigma(rate, rounds))
+    return [
+        f"attack.{key} is {attack.get(key)!r:.60}, recomputed {value!r}"
+        for key, value in expected.items()
+        if type(attack.get(key)) is not type(value) or attack.get(key) != value
+    ]

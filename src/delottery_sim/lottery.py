@@ -88,7 +88,6 @@ class LotteryConfig:
 class PlayerRecord:
     guesses: list = field(default_factory=list)
     deposit_refunded: int = 0
-    deposit_forfeited: int = 0
     payout: int = 0
 
 
@@ -340,23 +339,15 @@ def draw(state: LotteryState, seed: bytes | None = None) -> set | None:
         raise PhaseError(f"buffer runs until tick {rnd.reveal_deadline}")
     output = seed
     if seed is None:
-        returned = cfg.pool_mode == POOL_CONSISTENT
         output, refunds, forfeited = randao.finalize(
-            ledger, rnd, excluded=frozenset(state.banned), apply_refunds=returned
+            ledger, rnd, excluded=frozenset(state.banned),
+            apply_refunds=cfg.pool_mode == POOL_CONSISTENT,
         )
-        returned = returned or output is None  # an abort returns every deposit
-    else:  # the round's entropy goes unused, so every deposit is returnable
-        randao.refund_all(ledger, rnd)
-        refunds = {addr: c.deposit for addr, c in rnd.commitments.items()}
-        forfeited, returned = 0, True
-    for addr, commitment in rnd.commitments.items():
-        record = state.players.get(addr)
-        if record is None:
-            continue
-        if addr not in refunds:
-            record.deposit_forfeited = commitment.deposit
-        elif returned:
-            record.deposit_refunded = refunds[addr]
+    else:  # the round's entropy goes unused, so every deposit is returned
+        refunds, forfeited = randao.refund_all(ledger, rnd), 0
+    for addr, amount in refunds.items():
+        if addr in state.players:  # randao.commit lets any account commit to the round
+            state.players[addr].deposit_refunded = amount
     ledger.move(rnd.bucket, state.phi_bucket, forfeited)
     if output is not None:
         state.winners = derive_winners(output, cfg.winning_draws, cfg.guess_space_size)
@@ -386,52 +377,36 @@ def winning_share_count(state: LotteryState, player: bytes) -> int:
 def settle(state: LotteryState) -> dict:
     """Distribute the pool over winning shares; returns address -> payout.
 
-    With no winning shares the pool's phi portion rolls to the fee sink and
-    stakes are refunded (consistent mode) or left frozen (literal mode).
-    An aborted draw refunds deposits and stakes in full in either mode.
+    With no winning shares the stakes are refunded first (consistent mode,
+    or an aborted draw in either mode; literal mode otherwise leaves them
+    frozen), so the pool is phi plus any held deposits and all of it goes
+    to the fee sink. An aborted draw has already returned every deposit.
     Integer division remainders always route to the fee sink, so the payout
     identity sum(payouts) + remainder == pool is exact.
     """
     state._require(DRAWN)
-    if state.winners is None:
-        # aborted draw: deposits came back at the abort, stakes come back here
-        _refund_stakes(state)
-        state._advance(SETTLED)
-        return {}
-    ledger = state.ledger
-    funds_bucket, funds = _pool_funds(state)
-    pool = state.phi + funds
+    ledger, cfg = state.ledger, state.config
     counts = {a: winning_share_count(state, a) for a in state.eligible()}
     total_winning = sum(counts.values())
+    if not total_winning and (state.winners is None or cfg.pool_mode == POOL_CONSISTENT):
+        for addr, record in state.players.items():
+            ledger.move(state.stake_bucket, addr, len(record.guesses) * cfg.share_price)
+    funds_bucket, funds = _pool_funds(state)
+    pool = state.phi + funds
+    pool_bucket = f"pool:{state.instance_id}"
+    ledger.move(state.phi_bucket, pool_bucket, state.phi)
+    ledger.move(funds_bucket, pool_bucket, funds)
     payouts: dict[bytes, int] = {}
-    if total_winning > 0:
-        pool_bucket = f"pool:{state.instance_id}"
-        ledger.move(state.phi_bucket, pool_bucket, state.phi)
-        ledger.move(funds_bucket, pool_bucket, funds)
-        paid = 0
-        for addr in state.players:
-            shares = counts.get(addr, 0)
-            if shares:
-                amount = shares * pool // total_winning
-                ledger.move(pool_bucket, addr, amount)
-                state.players[addr].payout = amount
-                payouts[addr] = amount
-                paid += amount
-        ledger.move(pool_bucket, FEE_SINK, pool - paid)
-    else:
-        ledger.move(state.phi_bucket, FEE_SINK, state.phi)
-        if state.config.pool_mode == POOL_CONSISTENT:
-            _refund_stakes(state)
-        else:  # nobody won: the held deposits go to the sink
-            ledger.move(funds_bucket, FEE_SINK, funds)
+    for addr in state.players:
+        shares = counts.get(addr, 0)
+        if shares:
+            amount = shares * pool // total_winning
+            ledger.move(pool_bucket, addr, amount)
+            state.players[addr].payout = amount
+            payouts[addr] = amount
+    ledger.move(pool_bucket, FEE_SINK, pool - sum(payouts.values()))
     state._advance(SETTLED)
     return payouts
-
-
-def _refund_stakes(state: LotteryState) -> None:
-    price = state.config.share_price
-    for addr, record in state.players.items():
-        state.ledger.move(state.stake_bucket, addr, len(record.guesses) * price)
 
 
 def settlement_report(state: LotteryState) -> str:

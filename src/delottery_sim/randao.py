@@ -32,21 +32,11 @@ from .chain import Ledger
 from .errors import BindingViolation, ProtocolError, WindowError
 from .hashing import H, encode_i64, le8
 
-OPEN = "Open"
-FINALIZED = "Finalized"
-
 
 @dataclass(slots=True)
 class Commitment:
-    committer: bytes
     commit_hash: bytes
     deposit: int
-
-
-@dataclass(slots=True)
-class Reveal:
-    committer: bytes
-    value: int
 
 
 @dataclass(slots=True)
@@ -54,9 +44,9 @@ class RngRound:
     round_id: int
     commit_deadline: int
     reveal_deadline: int
-    commitments: dict = field(default_factory=dict)
-    reveals: dict = field(default_factory=dict)
-    state: str = OPEN
+    commitments: dict = field(default_factory=dict)  # committer -> Commitment
+    reveals: dict = field(default_factory=dict)  # committer -> revealed value
+    finalized: bool = False
 
     @property
     def bucket(self) -> str:
@@ -88,7 +78,7 @@ def commit(
     deposit: int,
 ) -> Commitment:
     """Escrow a deposit with a hash commitment, inside the commit window."""
-    if rnd.state == FINALIZED:
+    if rnd.finalized:
         raise ProtocolError("round already finalized")
     if ledger.clock > rnd.commit_deadline:
         raise WindowError(f"commit window closed at tick {rnd.commit_deadline}")
@@ -99,7 +89,7 @@ def commit(
     if deposit <= 0:
         raise ProtocolError("deposit must be positive")
     ledger.move(player, rnd.bucket, deposit)
-    c = Commitment(player, commit_hash, deposit)
+    c = Commitment(commit_hash, deposit)
     rnd.commitments[player] = c
     ledger.emit(
         "commit",
@@ -109,9 +99,9 @@ def commit(
     return c
 
 
-def reveal(ledger: Ledger, rnd: RngRound, player: bytes, value: int) -> Reveal:
+def reveal(ledger: Ledger, rnd: RngRound, player: bytes, value: int) -> None:
     """Disclose the committed value; a hash mismatch is a BindingViolation."""
-    if rnd.state == FINALIZED:
+    if rnd.finalized:
         raise ProtocolError("round already finalized")
     if not rnd.commit_deadline < ledger.clock <= rnd.reveal_deadline:
         raise WindowError(
@@ -128,10 +118,8 @@ def reveal(ledger: Ledger, rnd: RngRound, player: bytes, value: int) -> Reveal:
         raise ProtocolError(str(exc)) from exc
     if H(encoded) != commitment.commit_hash:
         raise BindingViolation("revealed value does not match commitment")
-    r = Reveal(player, value)
-    rnd.reveals[player] = r
+    rnd.reveals[player] = value
     ledger.emit("reveal", player, {"round_id": rnd.round_id, "value": value})
-    return r
 
 
 def combine(values_by_committer: dict, round_id: int) -> bytes:
@@ -144,17 +132,22 @@ def combine(values_by_committer: dict, round_id: int) -> bytes:
 
 def peek_output(rnd: RngRound, excluded: frozenset = frozenset()) -> bytes | None:
     """The output finalize would produce right now, or None with no reveals."""
-    values = {a: r.value for a, r in rnd.reveals.items() if a not in excluded}
+    values = {a: v for a, v in rnd.reveals.items() if a not in excluded}
     if not values:
         return None
     return combine(values, rnd.round_id)
 
 
-def refund_all(ledger: Ledger, rnd: RngRound) -> None:
-    """Close the round without an output, returning every committed deposit."""
-    for addr in sorted(rnd.commitments):
-        ledger.move(rnd.bucket, addr, rnd.commitments[addr].deposit)
-    rnd.state = FINALIZED
+def refund_all(ledger: Ledger, rnd: RngRound) -> dict:
+    """Close the round without an output, returning every committed deposit.
+
+    Returns the refunds paid, committer address -> deposit.
+    """
+    refunds = {addr: rnd.commitments[addr].deposit for addr in sorted(rnd.commitments)}
+    for addr, deposit in refunds.items():
+        ledger.move(rnd.bucket, addr, deposit)
+    rnd.finalized = True
+    return refunds
 
 
 def finalize(
@@ -165,35 +158,35 @@ def finalize(
 ):
     """Close the round: combine reveals, refund revealers, forfeit the rest.
 
-    Returns (output, refunds, forfeited). `excluded` committers (banned
-    accounts) contribute no entropy and forfeit their deposits. With
-    apply_refunds=False the refunds are computed and left in the round's
-    escrow bucket for the caller to route (deposit-consuming pool modes).
-    With no valid reveals the round aborts: every deposit is returned,
-    whatever apply_refunds says, and the result is (None, refunds, 0).
+    Returns (output, refunds, forfeited); `refunds` maps each committer
+    whose deposit was paid back to that deposit. `excluded` committers
+    (banned accounts) contribute no entropy and forfeit their deposits.
+    With apply_refunds=False the revealers' deposits stay in the round's
+    escrow bucket for the caller to route (deposit-consuming pool modes)
+    and `refunds` is empty. With no valid reveals the round aborts: every
+    deposit is returned, whatever apply_refunds says, and the result is
+    (None, refunds, 0).
 
     Forfeited money always stays in the round bucket; the caller decides
     where captured funds accumulate.
     """
-    if rnd.state == FINALIZED:
+    if rnd.finalized:
         raise ProtocolError("round already finalized")
     if ledger.clock <= rnd.reveal_deadline:
         raise WindowError(f"cannot finalize before tick {rnd.reveal_deadline + 1}")
     output = peek_output(rnd, excluded)
     if output is None:
-        refund_all(ledger, rnd)
-        return None, {a: rnd.commitments[a].deposit for a in sorted(rnd.commitments)}, 0
+        return None, refund_all(ledger, rnd), 0
     refunds: dict[bytes, int] = {}
     forfeited = 0
     for addr in sorted(rnd.commitments):
         deposit = rnd.commitments[addr].deposit
-        if addr in rnd.reveals and addr not in excluded:
-            refunds[addr] = deposit
-            if apply_refunds:
-                ledger.move(rnd.bucket, addr, deposit)
-        else:
+        if addr not in rnd.reveals or addr in excluded:
             forfeited += deposit
-    rnd.state = FINALIZED
+        elif apply_refunds:
+            ledger.move(rnd.bucket, addr, deposit)
+            refunds[addr] = deposit
+    rnd.finalized = True
     return output, refunds, forfeited
 
 
@@ -202,9 +195,8 @@ def round_transcript(rnd: RngRound) -> str:
     lines = []
     for addr in sorted(rnd.commitments):
         c = rnd.commitments[addr]
-        r = rnd.reveals.get(addr)
         lines.append(
             f"{rnd.round_id},{addr.hex()},{c.commit_hash.hex()},"
-            f"{1 if r else 0},{r.value if r else '-'},{c.deposit}"
+            f"{int(addr in rnd.reveals)},{rnd.reveals.get(addr, '-')},{c.deposit}"
         )
     return "\n".join(lines) + "\n" if lines else ""

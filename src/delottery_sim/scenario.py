@@ -257,6 +257,10 @@ def validate_scenario(sc: Scenario) -> None:
     names = [p.seed_material for p in sc.players]
     if sc.attacker is not None:
         names.append(sc.attacker.seed_material)
+    for name in names:
+        if "," in name or '"' in name:
+            # a name is a field of the CSV report, which does not quote
+            raise ScenarioError(f"seed_material {name!r} must not contain ',' or '\"'")
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise ScenarioError(f"seed_material values must be distinct: {sorted(dupes)}")

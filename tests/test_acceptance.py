@@ -174,7 +174,7 @@ def test_criterion_4_forfeiture():
     draw(state)
     phi_gain = state.phi - phi_before
     silent = addrs[0]
-    exact = phi_gain == deposits[silent] == state.players[silent].deposit_forfeited
+    exact = phi_gain == deposits[silent] and state.players[silent].deposit_refunded == 0
     still_scored = winning_share_count(state, silent) >= 1
     payouts = settle(state)
     paid_anyway = payouts.get(silent, 0) > 0

@@ -113,6 +113,25 @@ def test_oversized_roster_is_a_load_error(tmp_path, capsys, n_players, attacker,
     assert not out.exists()  # refused at load: no run, no report
 
 
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        ("[player]\n", "smith, jane"),
+        ("[attacker]\nkind = node\n", "mal,lory"),
+        ("[player]\n", 'jane "j" smith'),
+    ],
+    ids=["player-comma", "attacker-comma", "player-quote"],
+)
+def test_name_that_would_break_the_csv_is_a_load_error(tmp_path, capsys, section, name):
+    # a name is a field of the unquoted CSV report: a comma would add a column
+    path = tmp_path / "names.txt"
+    path.write_text(SCENARIO + f"{section}seed_material = {name}\n")
+    out = tmp_path / "report.csv"
+    assert main(["run", "--scenario", str(path), "--format", "csv", "--out", str(out)]) == 2
+    assert f"error: seed_material {name!r} must not contain" in capsys.readouterr().err
+    assert not out.exists()  # refused at load: no run, no report
+
+
 def test_largest_roster_runs(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", "--scenario", _roster_file(tmp_path, 65), "--out", str(out)]) == 0

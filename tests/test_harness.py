@@ -190,6 +190,22 @@ def test_shipped_run_leaves_a_valid_chain_and_reported_escrow(scenario):
     assert (data["stranded_escrow"] == 0) == (sc.config.pool_mode == "consistent")
 
 
+def test_hook_that_changes_a_mined_payload_raises():
+    # the report cannot show it: a changed buy_shares count leaves every
+    # report byte as the clean run's, so only the chain check catches it
+    sc = load_scenario(ROOT / "scenarios" / "honest-small.txt")
+
+    def bump_a_mined_count(ledger, r):
+        if r == 3:
+            event = next(
+                e for b in reversed(ledger.chain) for e in b.events if e.kind == "buy_shares"
+            )
+            event.payload["count"] += 1
+
+    with pytest.raises(ProtocolError, match="chain fails verification"):
+        run_once(sc, sc.base_seed, bump_a_mined_count)
+
+
 def mint(ledger, round_index):
     ledger.fee_sink += 1  # money from nowhere
 
@@ -307,6 +323,29 @@ def test_verify_report_recomputes_implied_fields():
     assert any("cannot recompute" in p for p in verify_report(wide))
     for edit in ({"rounds": "20"}, {"winners_per_round": None}):
         assert any("cannot recompute" in p for p in verify_report({**single, **edit})), edit
+
+
+def test_verify_report_recomputes_the_attack_counters():
+    agg = load_report(ROOT / "tests" / "golden" / "node-attack-naive-3seeds.json")
+    attack = agg["attack"]
+    assert attack["attacker_wins"] == agg["winner_histogram"][agg["players"][-1]]
+    assert attack["total_rounds"] == agg["n_seeds"] * agg["rounds_per_seed"]
+    sc = load_scenario(ROOT / "scenarios" / "node-attack-naive.txt")
+    sc.rounds = 20
+    single = run_once(sc, sc.base_seed).data
+    for report in (agg, single):
+        assert verify_report(report) == []
+        fields = ("attacker_wins", "total_rounds")
+        if report is agg:
+            fields += ("rate", "standard_error")
+        for key in fields:
+            edited = {**report, "attack": {**report["attack"], key: report["attack"][key] + 1}}
+            assert any(f"attack.{key}" in p for p in verify_report(edited)), key
+        wins = report["attack"]["attacker_wins"]
+        mistyped = ({**report["attack"], "attacker_wins": v} for v in (True, float(wins)))
+        for bad in (0, "x", [], {}, *mistyped):
+            problems = verify_report({**report, "attack": bad})
+            assert problems and all(isinstance(p, str) for p in problems), bad
 
 
 # the fields verify_report reads, by report kind

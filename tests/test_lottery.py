@@ -23,6 +23,8 @@ from delottery_sim import (
     begin_betting,
     begin_key_upload,
     buy_shares,
+    commit,
+    commit_hash_for,
     compute_deposit,
     create_account,
     deploy,
@@ -283,7 +285,7 @@ def test_full_round_all_guesses_covered_someone_wins():
 def test_no_forfeits_leaves_phi_empty():
     ledger, state, addrs, deposits, _ = run_full_round()
     assert state.phi == 0
-    assert all(state.players[a].deposit_forfeited == 0 for a in addrs)
+    assert all(state.players[a].deposit_refunded == deposits[a] for a in addrs)
 
 
 def test_silent_committer_forfeits_exact_deposit():
@@ -304,8 +306,10 @@ def test_silent_committer_forfeits_exact_deposit():
     tick_to(ledger, 5)
     draw(state)
     lost = deposits[addrs[1]] + deposits[addrs[2]]
-    assert state.players[addrs[1]].deposit_forfeited == deposits[addrs[1]]
-    assert state.players[addrs[2]].deposit_forfeited == deposits[addrs[2]]
+    assert state.phi == lost  # both silent deposits, and nothing else, fed phi
+    assert state.players[addrs[0]].deposit_refunded == deposits[addrs[0]]
+    assert state.players[addrs[1]].deposit_refunded == 0
+    assert state.players[addrs[2]].deposit_refunded == 0
     # pool = stakes + both forfeited deposits, all paid to the lone winner
     pool = 4 * state.config.share_price + lost
     assert escrowed_pool(state) == pool
@@ -334,8 +338,8 @@ def test_banned_revealer_forfeits_and_scores_zero():
     ban_player(state, addrs[2])
     tick_to(ledger, 5)
     draw(state)
-    cheat = state.players[addrs[2]]
-    assert cheat.deposit_forfeited == deposits[addrs[2]]
+    assert state.phi == deposits[addrs[2]]  # the banned player's deposit alone
+    assert state.players[addrs[2]].deposit_refunded == 0
     assert winning_share_count(state, addrs[2]) == 0
     # the banned player's stake still sits in the pool that others split
     assert escrowed_pool(state) == 3 * 4 * state.config.share_price + deposits[addrs[2]]
@@ -386,9 +390,8 @@ def test_no_winning_shares_literal_strands_stakes():
     draw(state)
     # literal mode holds deposits for the pool instead of refunding
     assert ledger.escrow[state.round.bucket] == sum(deposits.values())
-    for a in addrs:
-        record = state.players[a]
-        assert (record.deposit_refunded, record.deposit_forfeited) == (0, 0)
+    assert state.phi == 0  # nobody forfeited
+    assert all(state.players[a].deposit_refunded == 0 for a in addrs)
     assert escrowed_pool(state) == sum(deposits.values())
     payouts = settle(state)
     assert payouts == {}
@@ -459,6 +462,24 @@ def test_abort_refunds_all_deposits_and_stakes():
     assert ledger.conservation_residual() == 0
 
 
+def test_draw_refunds_a_stranger_who_committed_to_the_round():
+    # randao.commit takes any account: the refund is paid and no record is kept
+    ledger, state, accounts = fresh_lottery(1, bet_duration=1, buffer_duration=1)
+    stranger = create_account(ledger, b"stranger", 10**8).address
+    tick_to(ledger, 1)
+    begin_key_upload(state)
+    commit(ledger, state.round, stranger, commit_hash_for(7), 10**6)
+    tick_to(ledger, 3)
+    begin_betting(state)
+    tick_to(ledger, 4)
+    enter_buffer(state)
+    tick_to(ledger, 5)
+    draw(state, seed=H(b"block"))
+    assert ledger.balance_of(stranger) == 10**8
+    assert stranger not in state.players
+    assert ledger.conservation_residual() == 0
+
+
 # --- phase machine and guards ------------------------------------------
 
 
@@ -522,7 +543,7 @@ def snapshot(state):
         list(ledger.pending),
         dict(rnd.commitments),
         dict(rnd.reveals),
-        rnd.state,
+        rnd.finalized,
         state.phase,
         [astuple(record) for record in state.players.values()],
     )
@@ -558,7 +579,8 @@ def test_every_window_reads_the_ledger_clock():
     tick_to(ledger, 50)  # long past the reveal deadline
     refused(WindowError, lambda: reveal_key(state, b, key=2))
     draw(state)
-    assert state.players[b].deposit_forfeited == state.round.commitments[b].deposit
+    assert state.phi == state.round.commitments[b].deposit  # b never revealed
+    assert state.players[b].deposit_refunded == 0
 
 
 def test_buy_shares_guards():

@@ -105,7 +105,7 @@ def test_window_refusals_change_nothing():
         balances = {p: acct.balance for p, acct in ledger.accounts.items()}
         return (
             balances, dict(ledger.escrow), list(ledger.pending),
-            dict(rnd.commitments), dict(rnd.reveals), rnd.state,
+            dict(rnd.commitments), dict(rnd.reveals), rnd.finalized,
         )
 
     def refused(call):
@@ -189,7 +189,7 @@ def test_no_entropy_aborts_and_refunds_everyone():
         assert ledger.balance_of(a.address) == 10_000
         assert ledger.balance_of(b.address) == 10_000
         assert rnd.bucket not in ledger.escrow
-        assert rnd.state == "Finalized"
+        assert rnd.finalized
 
 
 def test_transcript_format_sorted_by_committer():
