@@ -30,7 +30,7 @@ block = mine_block(ledger, miner.address, ledger.pending)
 ledger.pending.clear()
 ledger.advance_clock()
 
-print(f"mined block {block.height}: {len(block.events)} events, "
+print(f"mined block {len(ledger.chain) - 1}: {len(block.events)} events, "
       f"hash {block.hash.hex()[:16]}...")
 print(f"alice {ledger.balance_of(alice.address)}, bob {ledger.balance_of(bob.address)}")
 

@@ -18,6 +18,9 @@ Byte layouts (nonces are 8-byte little-endian, as `hashing.le8`):
 - event body: `canonical_event_bytes`, "kind|sender_hex|timestamp|k=v|..."
   with payload keys sorted (no key or string value may contain "|" or
   "="); an event's wire bytes are body || auth_tag.
+- block: its events, its miner and its hash. Its height is its index in
+  `ledger.chain`, and its prev_hash is the hash of the block before it
+  there, or GENESIS_PREV for genesis.
 - block hash: H(prev_hash || concat(event wire bytes) || le8(0) || miner).
   Blocks carry no difficulty target, so each is hashed once. The le8(0)
   is a fixed field of the layout: naive-mode winners derive from block
@@ -85,8 +88,6 @@ class Event:
 
 @dataclass(slots=True)
 class Block:
-    height: int
-    prev_hash: bytes
     events: tuple
     miner: bytes
     hash: bytes
@@ -145,7 +146,7 @@ class Ledger:
         self._lottery_counter = 0
         # genesis predates the clock; it does not occupy tick 0's block slot
         genesis_hash = block_hash(GENESIS_PREV, b"", GENESIS_MINER)
-        self.chain: list[Block] = [Block(0, GENESIS_PREV, (), GENESIS_MINER, genesis_hash)]
+        self.chain: list[Block] = [Block((), GENESIS_MINER, genesis_hash)]
 
     # -- identifiers ------------------------------------------------------
 
@@ -344,12 +345,6 @@ def block_hash(prev_hash: bytes, event_bytes: bytes, miner: bytes) -> bytes:
     return H(prev_hash + event_bytes + le8(0) + miner)
 
 
-def _build_on_tip(ledger: Ledger, events: tuple, event_bytes: bytes, miner: bytes) -> Block:
-    prev = ledger.chain[-1]
-    return Block(prev.height + 1, prev.hash, events, miner,
-                 block_hash(prev.hash, event_bytes, miner))
-
-
 def preview_block(ledger: Ledger, events, miner: bytes) -> Block:
     """Mine a candidate on top of the current tip without publishing it.
 
@@ -358,7 +353,8 @@ def preview_block(ledger: Ledger, events, miner: bytes) -> Block:
     and a proposer can inspect the hash first and choose to withhold.
     """
     events = tuple(events)
-    return _build_on_tip(ledger, events, b"".join(map(event_wire_bytes, events)), miner)
+    event_bytes = b"".join(map(event_wire_bytes, events))
+    return Block(events, miner, block_hash(ledger.chain[-1].hash, event_bytes, miner))
 
 
 def _transfer_move(ev: Event) -> tuple[bytes, bytes, int]:
@@ -403,24 +399,23 @@ def mine_block(ledger: Ledger, miner: bytes, pending) -> Block:
         for src, dst, amount in reversed(applied):
             ledger.move(dst, src, amount)
         raise
-    block = _build_on_tip(ledger, events, b"".join(wire), miner)
+    block = Block(events, miner, block_hash(ledger.chain[-1].hash, b"".join(wire), miner))
     ledger.chain.append(block)
     ledger._last_mine_tick = ledger.clock
     return block
 
 
 def verify_chain(chain) -> bool:
-    """True iff every link and stored hash checks out.
+    """True iff every stored hash checks out over the hash before it.
 
-    Every block hash is recomputed from the events' payloads, so a payload
-    changed after mining is caught.
+    Every block hash is recomputed from the events' payloads and the running
+    previous hash, so a payload changed after mining is caught, and so is a
+    block swapped, dropped or forged: each hash covers its predecessor's.
     """
     prev_hash = GENESIS_PREV
-    for i, block in enumerate(chain):
-        if block.height != i or block.prev_hash != prev_hash:
-            return False
+    for block in chain:
         event_bytes = b"".join(map(event_wire_bytes, block.events))
-        if block_hash(block.prev_hash, event_bytes, block.miner) != block.hash:
+        if block_hash(prev_hash, event_bytes, block.miner) != block.hash:
             return False
         prev_hash = block.hash
     return True
@@ -428,8 +423,8 @@ def verify_chain(chain) -> bool:
 
 def chain_dump(ledger: Ledger) -> str:
     """Newline-delimited: height,prev_hash_hex,hash_hex,miner_hex,event_count."""
-    lines = [
-        f"{b.height},{b.prev_hash.hex()},{b.hash.hex()},{b.miner.hex()},{len(b.events)}"
-        for b in ledger.chain
-    ]
+    lines, prev_hash = [], GENESIS_PREV
+    for height, b in enumerate(ledger.chain):
+        lines.append(f"{height},{prev_hash.hex()},{b.hash.hex()},{b.miner.hex()},{len(b.events)}")
+        prev_hash = b.hash
     return "\n".join(lines) + "\n"

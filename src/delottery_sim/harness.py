@@ -82,13 +82,12 @@ def _enroll(ledger: Ledger, spec: PlayerSpec) -> _Entry:
     return _Entry(spec.seed_material, acct.address, spec)
 
 
-def _tick_through(ledger: Ledger, miner: bytes, deadline: int) -> None:
+def tick_through(ledger: Ledger, miner: bytes, deadline: int) -> None:
     """Advance the clock past `deadline`, mining whatever is pending at each tick."""
     while ledger.clock <= deadline:
         if ledger.pending:
-            events = list(ledger.pending)
-            ledger.pending.clear()
-            mine_block(ledger, miner, events)
+            mine_block(ledger, miner, ledger.pending)
+            ledger.pending.clear()  # after the block lands: a refused one leaves them pending
         ledger.advance_clock()
 
 
@@ -183,24 +182,24 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
             for fake in fakes:
                 if fake in state.players:
                     sybil["admitted_identities"][fake.hex()] = sybil["controller"]
-        _tick_through(ledger, miner, ledger.clock)
+        tick_through(ledger, miner, ledger.clock)
 
         begin_key_upload(state)
         keys = {}
         if sc.rng_mode == MODE_COMMIT_REVEAL:
             upload = lambda e: _upload(state, e, seed, r)
             keys = _each_player(roster, "upload", upload, r, rejections)
-        _tick_through(ledger, miner, state.round.commit_deadline)
+        tick_through(ledger, miner, state.round.commit_deadline)
 
         begin_betting(state)
         _each_player(roster, "bet", lambda e: _bet(state, e, seed, r), r, rejections)
-        _tick_through(ledger, miner, state.betting_close)
+        tick_through(ledger, miner, state.betting_close)
 
         enter_buffer(state)
         revealers = [e for e in roster if e.spec.reveals and e.address in keys]
         reveal = lambda e: reveal_key(state, e.address, keys[e.address])
         _each_player(revealers, "reveal", reveal, r, rejections)
-        _tick_through(ledger, miner, state.round.reveal_deadline)
+        tick_through(ledger, miner, state.round.reveal_deadline)
 
         draw = run_naive_mode_round if sc.rng_mode == MODE_NAIVE else run_commit_reveal_mode_round
         outcome = draw(state, node_attacker, miner, Stream(seed, r, b"proposer"), roster[0].address)
@@ -212,7 +211,7 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
         withhold_count += outcome.withheld
         if fault_hook is not None:
             fault_hook(ledger, r)
-        _tick_through(ledger, miner, ledger.clock)
+        tick_through(ledger, miner, ledger.clock)
     if fault_hook is not None and not verify_chain(ledger.chain):
         raise ProtocolError("the chain fails verification after the fault hook ran")
 
@@ -245,7 +244,7 @@ def run_once(sc: Scenario, seed: int, fault_hook=None, pow_memo=None) -> RunRepo
         "conservation_residual": residual,
         "fee_sink": ledger.fee_sink,
         "stranded_escrow": sum(ledger.escrow.values()),
-        "chain_height": ledger.chain[-1].height,
+        "chain_height": len(ledger.chain) - 1,
         "chi_square": chi,
         "attack": attack,
         "sybil": sybil,

@@ -118,10 +118,6 @@ class LotteryState:
     def phi(self) -> int:
         return self.ledger.escrow.get(self.phi_bucket, 0)
 
-    def eligible(self) -> list[bytes]:
-        """P minus B, in join order."""
-        return [a for a in self.players if a not in self.banned]
-
     def _advance(self, to_phase: str) -> None:
         if PHASES.index(to_phase) != PHASES.index(self.phase) + 1:
             raise PhaseError(f"cannot move {self.phase} -> {to_phase}")
@@ -386,7 +382,7 @@ def settle(state: LotteryState) -> dict:
     """
     state._require(DRAWN)
     ledger, cfg = state.ledger, state.config
-    counts = {a: winning_share_count(state, a) for a in state.eligible()}
+    counts = {a: winning_share_count(state, a) for a in state.players}
     total_winning = sum(counts.values())
     if not total_winning and (state.winners is None or cfg.pool_mode == POOL_CONSISTENT):
         for addr, record in state.players.items():
@@ -397,8 +393,7 @@ def settle(state: LotteryState) -> dict:
     ledger.move(state.phi_bucket, pool_bucket, state.phi)
     ledger.move(funds_bucket, pool_bucket, funds)
     payouts: dict[bytes, int] = {}
-    for addr in state.players:
-        shares = counts.get(addr, 0)
+    for addr, shares in counts.items():
         if shares:
             amount = shares * pool // total_winning
             ledger.move(pool_bucket, addr, amount)

@@ -64,9 +64,9 @@ class Stream:
         return u - (1 << 64) if u >= (1 << 63) else u
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        """Uniform integer in [0, n), n <= 2^64, by rejection sampling (no modulo bias)."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("below() needs 1 <= n <= 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

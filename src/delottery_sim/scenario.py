@@ -254,6 +254,9 @@ def validate_scenario(sc: Scenario) -> None:
         cfg.validate()
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from None
+    # a uniform guess and a proposer sample are each one Stream.below draw
+    if cfg.guess_space_size > 1 << 64:
+        raise ScenarioError(f"guess_space_size must be at most 2^64, got {cfg.guess_space_size}")
     names = [p.seed_material for p in sc.players]
     if sc.attacker is not None:
         names.append(sc.attacker.seed_material)
@@ -304,6 +307,10 @@ def validate_scenario(sc: Scenario) -> None:
         check_player(atk.colluder())
         if not 0 <= atk.mining_share <= 1:
             raise ScenarioError("mining_share must lie in [0, 1]")
+        if Fraction(atk.mining_share).denominator > 1 << 64:
+            raise ScenarioError(
+                f"mining_share denominator must be at most 2^64, got {atk.mining_share}"
+            )
         if atk.futility_cap < 0:
             raise ScenarioError("futility_cap must be >= 0")
         if sc.rng_mode == MODE_NAIVE and atk.mining_share == 1:

@@ -171,7 +171,7 @@ def test_one_block_per_tick():
         mine_block(ledger, miner.address, [])
     ledger.advance_clock()
     mine_block(ledger, miner.address, [])
-    assert ledger.chain[-1].height == 2
+    assert len(ledger.chain) == 3  # genesis, then one block on each tick
 
 
 def test_miner_must_be_transaction_node():
@@ -243,13 +243,21 @@ def test_target_bytes_match_integer_predicate(difficulty):
 def test_verify_chain_detects_tampering():
     ledger, miner, alice, bob = fresh()
     ledger.emit("transfer", alice.address, {"to": bob.address.hex(), "amount": 1})
-    events = list(ledger.pending)
-    ledger.pending.clear()
-    mine_block(ledger, miner.address, events)
-    assert verify_chain(ledger.chain)
-    block = ledger.chain[-1]
-    forged = type(block)(block.height, block.prev_hash, (), block.miner, block.hash)
-    assert not verify_chain(ledger.chain[:-1] + [forged])
+    for _ in range(3):  # the transfer's block, then two empty ones
+        mine_block(ledger, miner.address, ledger.pending)
+        ledger.pending.clear()
+        ledger.advance_clock()
+    chain = ledger.chain
+    assert verify_chain(chain)
+    block = chain[1]
+    forged = type(block)((), block.miner, block.hash)  # events emptied, hash kept
+    # every block hash covers the hash before it, so order and gaps show too
+    for bad in (
+        [chain[0], forged, *chain[2:]],
+        [chain[0], chain[2], chain[1], chain[3]],  # a swapped pair
+        [*chain[:2], chain[3]],  # a dropped middle block
+    ):
+        assert not verify_chain(bad)
 
 
 def test_chain_dump_format():

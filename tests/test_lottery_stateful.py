@@ -39,13 +39,13 @@ from delottery_sim import (
     deploy,
     draw,
     enter_buffer,
-    mine_block,
     reveal_key,
     settle,
     solve_pow,
     upload_key,
     winning_share_count,
 )
+from delottery_sim.harness import tick_through
 
 PRICE = 10**12  # the fee is 1 per share; a deposit is about 2.54 prices
 BALANCES = (10**13, 10**13, 3 * PRICE)  # the last player cannot bet after its deposit
@@ -142,12 +142,8 @@ class LotteryMachine(RuleBasedStateMachine):
         self.attempt(lambda: ban_player(self.state, self.addrs[player]))
 
     @rule()
-    def tick_and_mine(self, ticks=1):  # as a rule one tick; advance waits out a window
-        for _ in range(ticks):
-            if self.ledger.pending:
-                mine_block(self.ledger, self.miner, list(self.ledger.pending))
-                self.ledger.pending.clear()
-            self.ledger.advance_clock()
+    def tick_and_mine(self):  # one tick; advance waits out a window with the same walk
+        tick_through(self.ledger, self.miner, self.ledger.clock)
 
     @rule(naive=st.booleans(), wait=st.booleans())
     def advance(self, naive, wait):
@@ -162,7 +158,7 @@ class LotteryMachine(RuleBasedStateMachine):
             return
         if wait and state.phase != "Drawn":
             close = {"KeyUpload": rnd.commit_deadline, "Betting": state.betting_close}
-            self.tick_and_mine(close.get(state.phase, rnd.reveal_deadline) + 1 - self.ledger.clock)
+            tick_through(self.ledger, self.miner, close.get(state.phase, rnd.reveal_deadline))
         self.step(state.phase, naive)
 
     @rule(phase_moves=st.lists(MOVES, max_size=3), ban=st.none() | PLAYER, naive=st.booleans())
@@ -224,7 +220,7 @@ class LotteryMachine(RuleBasedStateMachine):
         # consistent mode or after an abort; literal mode freezes them and
         # pays from phi and the held deposits instead
         consistent = state.config.pool_mode == POOL_CONSISTENT
-        won = any(winning_share_count(state, a) for a in state.eligible())
+        won = any(winning_share_count(state, a) for a in state.players)
         refunded = not won and (consistent or state.winners is None)
         pool = phi + (0 if refunded else stakes) if consistent else phi + held
         payouts = sum(r.payout for r in state.players.values())

@@ -51,6 +51,9 @@ def test_below_edges():
     assert stream.below(1) == 0
     with pytest.raises(ValueError):
         stream.below(0)
+    assert stream.below(1 << 64) == splitmix64(stream.seed, 1)  # one draw, never rejected
+    with pytest.raises(ValueError):
+        stream.below((1 << 64) + 1)  # no draw could ever be accepted
 
 
 def test_next_i64_covers_sign_range():
